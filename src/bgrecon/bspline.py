@@ -28,27 +28,19 @@ class CubicBSplineBasis:
         n = self.grid.n
         if not 0 <= j <= n - 1:
             raise IndexError(f"spline index {j} out of range [0, {n - 1}]")
-        h = self.grid.h
-        tj = j * h
-        t = np.asarray(t, dtype=float)
-        u = t - tj  # distance from the center node; pieces are symmetric in u
-        piece1 = (u + 2 * h) ** 3
-        piece2 = h**3 + 3 * h**2 * (u + h) + 3 * h * (u + h) ** 2 - 3 * (u + h) ** 3
-        piece3 = h**3 + 3 * h**2 * (h - u) + 3 * h * (h - u) ** 2 - 3 * (h - u) ** 3
-        piece4 = (2 * h - u) ** 3
-        val = np.select(
-            [u < -h, u < 0.0, u <= h, u <= 2 * h],
-            [piece1, piece2, piece3, piece4],
-            default=0.0,
-        )
-        val = np.where(u < -2 * h, 0.0, val) / (4 * h**3)
+        val = _scaled_bspline(np.asarray(t, dtype=float) - j * self.grid.h, self.grid.h)
         return val if val.ndim else float(val)
+
+    def values(self, t) -> np.ndarray:
+        """Matrix S[j, k] = S_j(t_k) for the points of a 1-D array t,
+        shape (N, len(t))."""
+        t = np.asarray(t, dtype=float)
+        centers = np.arange(self.size) * self.grid.h
+        return _scaled_bspline(t[None, :] - centers[:, None], self.grid.h)
 
     def node_values(self) -> np.ndarray:
         """Matrix S[j, k] = S_j(t_k) over all grid nodes, shape (N, N+1)."""
-        return np.stack(
-            [self.eval_spline(j, self.grid.nodes) for j in range(self.size)]
-        )
+        return self.values(self.grid.nodes)
 
     def eval_combination(self, coeffs: np.ndarray, t):
         """Value of sum_j coeffs[j] * S_j at t."""
@@ -56,17 +48,33 @@ class CubicBSplineBasis:
         if coeffs.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients")
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t, dtype=float)
-        for j in range(self.size):
-            out = out + coeffs[j] * self.eval_spline(j, t)
+        out = (coeffs @ self.values(t.ravel())).reshape(t.shape)
         return out if out.ndim else float(out)
 
 
-def delta_moments(basis: CubicBSplineBasis, t0: float) -> np.ndarray:
-    """Moments <delta(t0 - .), S_j> = S_j(t0), j = 0..N-1."""
-    if not 0.0 <= t0 <= 1.0:
+def _scaled_bspline(u: np.ndarray, h: float) -> np.ndarray:
+    """Cubic B-spline of width 4h centred at u = 0, scaled to 1 there.
+
+    The pieces are symmetric in u, so they are evaluated at |u|. Cubes
+    are written as products so that every entry is rounded the same way
+    whatever the shape of u.
+    """
+    a = np.abs(u)
+    c = h - a
+    d = 2 * h - a
+    inner = h**3 + 3 * h**2 * c + 3 * h * (c * c) - 3 * (c * c * c)
+    outer = np.where(a <= 2 * h, d * d * d, 0.0)
+    return np.where(a <= h, inner, outer) / (4 * h**3)
+
+
+def delta_moments(basis: CubicBSplineBasis, t0) -> np.ndarray:
+    """Moments <delta(t0 - .), S_j> = S_j(t0), j = 0..N-1: shape (N,) for
+    a scalar t0, and one column per target, (N, len(t0)), for an array."""
+    t0 = np.asarray(t0, dtype=float)
+    if not np.all((t0 >= 0.0) & (t0 <= 1.0)):
         raise ValueError(f"t0 must lie in [0,1], got {t0}")
-    return np.asarray([basis.eval_spline(j, t0) for j in range(basis.size)])
+    moments = basis.values(t0.ravel())
+    return moments if t0.ndim else moments[:, 0]
 
 
 def interpolate(basis: CubicBSplineBasis, samples: SampledFunction) -> np.ndarray:
@@ -78,10 +86,7 @@ def interpolate(basis: CubicBSplineBasis, samples: SampledFunction) -> np.ndarra
     if samples.grid.n != basis.grid.n:
         raise ValueError("samples must live on the basis grid")
     n = basis.size
-    nodes = basis.grid.nodes[:n]
-    mat = np.zeros((n, n))
-    for j in range(n):
-        mat[:, j] = basis.eval_spline(j, nodes)
+    mat = basis.values(basis.grid.nodes[:n]).T
     coeffs = np.linalg.solve(mat, samples.values[:n])
     residual = np.max(np.abs(mat @ coeffs - samples.values[:n]))
     if residual > 1e-10 * (1.0 + np.max(np.abs(samples.values))):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -53,10 +54,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
         if self.n < 4:
             raise ValueError(f"need N >= 4, got {self.n}")
-        if self.nu < 0:
-            raise ValueError(f"need nu >= 0, got {self.nu}")
-        if self.eps < 0:
-            raise ValueError(f"need eps >= 0, got {self.eps}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"need finite nu >= 0, got {self.nu}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"need finite eps >= 0, got {self.eps}")
 
 
 # --- test functions from the moment-problem experiments ---------------------

@@ -10,11 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# sinh overflows double precision near pi*k ~ 710; switch to a log-scale
-# evaluation well before that.
-_LOG_SCALE_K = 20
-
-
 @dataclass(frozen=True)
 class HadamardInstance:
     k: int

@@ -24,10 +24,9 @@ from .grid import SampledFunction, quad_weighted_integral
 from .volterra import (
     DiscreteForwardMap,
     QuadraticVolterraOperator,
-    apply_A,
-    apply_dA,
     forward_dA,
     forward_data,
+    linearization_matrix,
 )
 
 
@@ -65,23 +64,13 @@ class AssembledSystem:
 
 
 def _adjoint_block(
-    op: QuadraticVolterraOperator,
     basis: CubicBSplineBasis,
     x0: SampledFunction,
     fmap: DiscreteForwardMap,
 ) -> np.ndarray:
-    """Matrix block M[j, i] = <dA(x0)* e_i, S_j> by grid trapezoid rule."""
-    grid = op.grid
-    s = grid.nodes
-    n = basis.size
-    spline_vals = basis.node_values()  # (N, N+1)
-    block = np.zeros((n, fmap.nodes.size))
-    for i, ti in enumerate(fmap.nodes):
-        kappa = op.kernel(ti - s) + 2 * op.nu * x0(ti - s)
-        for j in range(n):
-            integrand = SampledFunction(grid, kappa * spline_vals[j])
-            block[j, i] = quad_weighted_integral(integrand, 0.0, ti)
-    return block
+    """Matrix block M[j, i] = <dA(x0)* e_i, S_j> by grid trapezoid rule:
+    row j of the linearization matrix applied to the samples of S_j."""
+    return basis.node_values() @ linearization_matrix(fmap, x0).T
 
 
 def constraint_row(
@@ -105,7 +94,7 @@ def assemble_adjoint_system(
     mu_moments = np.asarray(mu_moments, dtype=float)
     if mu_moments.shape != (basis.size,):
         raise ValueError(f"expected {basis.size} moments, got {mu_moments.size}")
-    block = _adjoint_block(op, basis, x0, fmap)
+    block = _adjoint_block(basis, x0, fmap)
     matrix = np.vstack([block, constraint_row(op, x0, fmap)])
     condition = float(np.linalg.cond(block))
     if condition > CONDITION_LIMIT:
@@ -152,24 +141,24 @@ def reconstruct_profile(
     """Reconstructed values <delta(t0-.), x> for each target t0.
 
     The weight system does not depend on the data or on the target, so
-    the matrix is assembled and pseudo-inverted once.
+    the matrix is assembled and pseudo-inverted once, and the data row
+    y^T pinv is applied to the (N+1) x T matrix of all right-hand sides
+    at once.
     """
     targets = list(targets)
     if not targets:
         return []
     if fmap is None:
         fmap = DiscreteForwardMap(op)
-    system = assemble_adjoint_system(
-        op, basis, x0, delta_moments(basis, targets[0]), fmap
-    )
-    solve = np.linalg.pinv(system.matrix)
-    y_data = np.asarray(y_data, dtype=float)
-    out = []
-    for t0 in targets:
-        rhs = np.concatenate([delta_moments(basis, t0), [0.0]])
-        phi = solve @ rhs
-        out.append((t0, float(phi @ y_data)))
-    return out
+    moments = delta_moments(basis, np.asarray(targets, dtype=float))
+    system = assemble_adjoint_system(op, basis, x0, moments[:, 0], fmap)
+    rhs = np.vstack([moments, np.zeros((1, len(targets)))])
+    data_row = np.asarray(y_data, dtype=float) @ np.linalg.pinv(system.matrix)
+    # phi_t . y = (y^T pinv) rhs_t. cumsum adds the rows strictly in
+    # order (np.sum and matmul group them by shape), so a target's value
+    # does not depend on the other targets in the call.
+    values = np.cumsum(data_row[:, None] * rhs, axis=0)[-1]
+    return [(t0, float(v)) for t0, v in zip(targets, values)]
 
 
 def profile_to_csv(pairs, path, truth: Callable[[float], float] | None = None) -> None:
@@ -266,10 +255,12 @@ def iterative_refinement(
     prev_vals = None
     scale0 = None
     for _ in range(rounds):
-        node_pairs = reconstruct_profile(op, basis, x0, y_data, nodes, fmap)
-        node_vals = np.asarray([v for _, v in node_pairs])
-        pairs = reconstruct_profile(op, basis, x0, y_data, targets, fmap)
-        profiles.append(pairs)
+        # one weight system per round serves the nodes and the targets
+        pairs = reconstruct_profile(
+            op, basis, x0, y_data, [*nodes, *targets], fmap
+        )
+        node_vals = np.asarray([v for _, v in pairs[: nodes.size]])
+        profiles.append(pairs[nodes.size :])
         if scale0 is None:
             scale0 = max(1.0, np.max(np.abs(node_vals)))
         elif np.max(np.abs(node_vals)) > 1e3 * scale0:
@@ -352,10 +343,10 @@ def error_budget(
     w = phi.coefficients
     ax_star = forward_data(fmap, x_star)
     ax0 = forward_data(fmap, x0)
-    diff = SampledFunction(op.grid, x_star.values - x0.values)
-    da_diff = forward_dA(fmap, x0, diff)
-    da_xstar = forward_dA(fmap, x0, x_star)
-    da_x0 = forward_dA(fmap, x0, x0)
+    d = linearization_matrix(fmap, x0)
+    da_diff = d @ (x_star.values - x0.values)
+    da_xstar = d @ x_star.values
+    da_x0 = d @ x0.values
     noise = abs(w @ (y - y_eps))
     linearization = abs(w @ (ax_star - ax0 - da_diff))
     constraint = abs(w @ (ax0 - da_x0))

@@ -5,6 +5,10 @@
 with kernel k and a small nonlinearity weight nu. Also provides the
 discrete forward map at the measurement nodes t_i, the linearization
 dA and its discrete adjoint.
+
+At the measurement nodes, A and dA are quadrature-weighted matrices
+over nodes x grid; the scalar apply_A and apply_dA evaluate the same
+rule one point at a time and serve as their reference.
 """
 
 from __future__ import annotations
@@ -46,6 +50,39 @@ class DiscreteForwardMap:
             raise ValueError("measurement nodes must be strictly increasing in (0,1]")
         object.__setattr__(self, "nodes", nodes)
 
+    @property
+    def lags(self) -> np.ndarray:
+        """Matrix t_i - s_k over measurement nodes x grid nodes."""
+        return self.nodes[:, None] - self.op.grid.nodes[None, :]
+
+
+def _trapezoid_weights(lags: np.ndarray, h: float) -> np.ndarray:
+    """Weights W[i, k] of grid node s_k in the rule quad_weighted_integral
+    applies over [0, t_i]: trapezoid on the grid cells, the last cell cut
+    at t_i with its endpoint value interpolated. The rule integrates the
+    piecewise-linear interpolant exactly, so W[i, k] is the integral over
+    [0, t_i] of the hat function at s_k, which is h * G((t_i - s_k) / h)
+    with G the integral of the unit hat, less the half of the first hat
+    that lies left of s_0 = 0."""
+    v = np.clip(lags / h, -1.0, 1.0)
+    w = h * np.where(v <= 0.0, 0.5 * (1.0 + v) ** 2, 1.0 - 0.5 * (1.0 - v) ** 2)
+    w[:, 0] -= 0.5 * h
+    return w
+
+
+def _weighted_kernel(
+    fmap: DiscreteForwardMap, x: SampledFunction, coef: float
+) -> np.ndarray:
+    """Matrix W * (k(t_i - s) + coef * x(t_i - s)) over nodes x grid."""
+    lags = fmap.lags
+    weights = _trapezoid_weights(lags, fmap.op.grid.h)
+    return weights * (fmap.op.kernel(lags) + coef * x(lags))
+
+
+def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
+    """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i)."""
+    return _weighted_kernel(fmap, x0, 2 * fmap.op.nu)
+
 
 def apply_A(op: QuadraticVolterraOperator, x: SampledFunction, t: float) -> float:
     """(Ax)(t); kernel values at non-node arguments are linearly interpolated."""
@@ -56,7 +93,7 @@ def apply_A(op: QuadraticVolterraOperator, x: SampledFunction, t: float) -> floa
 
 def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     """Data vector [Ax(t_i)] over the measurement nodes."""
-    return np.asarray([apply_A(fmap.op, x, t) for t in fmap.nodes])
+    return _weighted_kernel(fmap, x, fmap.op.nu) @ x.values
 
 
 def forward_data_exact(
@@ -104,7 +141,7 @@ def forward_dA(
     fmap: DiscreteForwardMap, x: SampledFunction, f: SampledFunction
 ) -> np.ndarray:
     """Vector [dA(x)f (t_i)] over the measurement nodes."""
-    return np.asarray([apply_dA(fmap.op, x, f, t) for t in fmap.nodes])
+    return linearization_matrix(fmap, x) @ f.values
 
 
 def apply_dA_adjoint(
@@ -118,11 +155,6 @@ def apply_dA_adjoint(
     if w.shape != fmap.nodes.shape:
         raise ValueError(f"expected {fmap.nodes.size} weights, got {w.size}")
     op = fmap.op
-    s = op.grid.nodes
-    out = np.zeros_like(s)
-    for wi, ti in zip(w, fmap.nodes):
-        mask = s <= ti
-        out[mask] += wi * (
-            op.kernel(ti - s[mask]) + 2 * op.nu * x(ti - s[mask])
-        )
-    return SampledFunction(op.grid, out)
+    lags = fmap.lags
+    kappa = np.where(lags >= 0, op.kernel(lags) + 2 * op.nu * x(lags), 0.0)
+    return SampledFunction(op.grid, w @ kappa)

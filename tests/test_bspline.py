@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bgrecon.bspline import CubicBSplineBasis, delta_moments, interpolate
 from bgrecon.grid import SampledFunction, UniformGrid
@@ -95,3 +97,17 @@ def test_collocation_matrix_is_tridiagonal(basis):
         for j in range(n):
             if abs(i - j) > 1:
                 assert mat[i, j] == pytest.approx(0.0, abs=1e-14)
+
+
+@given(
+    st.integers(1, 40),
+    st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30),
+)
+def test_values_match_eval_spline_bit_for_bit(n, points):
+    basis = CubicBSplineBasis(UniformGrid(n))
+    t = np.asarray(points)
+    mat = basis.values(t)
+    assert mat.shape == (n, t.size)
+    for j in range(n):
+        assert np.array_equal(mat[j], basis.eval_spline(j, t))
+        assert mat[j, 0] == basis.eval_spline(j, points[0])

@@ -28,6 +28,22 @@ def test_config_rejects_bad_numeric_values():
         ExperimentConfig("fig1", eps=-0.1)
 
 
+@pytest.mark.parametrize("flags", [["--eps", "inf"], ["--nu", "nan"]])
+def test_nonfinite_flag_is_rejected(tmp_path, flags):
+    assert main(["fig2", *flags, "--out", str(tmp_path)]) == EXIT_UNKNOWN_ID
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("line", ["eps=inf", "nu=nan"])
+def test_nonfinite_config_value_is_rejected(tmp_path, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "out"
+    code = main(["fig2", "--config", str(cfg_file), "--out", str(out)])
+    assert code == EXIT_UNKNOWN_ID
+    assert not out.exists()
+
+
 def test_main_unknown_experiment_exit_code():
     assert main(["not_an_experiment"]) == EXIT_UNKNOWN_ID
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bgrecon.bspline import CubicBSplineBasis, delta_moments
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
@@ -131,6 +133,22 @@ def test_profile_matches_single_target_solves():
         system = assemble_adjoint_system(op, basis, x0, delta_moments(basis, t0), fmap)
         phi = solve_weights(system)
         assert value == pytest.approx(reconstruct_value(phi, y), abs=1e-8)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    st.integers(0, 12),
+    st.sampled_from([0.0, 0.05]),
+)
+def test_profile_value_independent_of_other_targets(targets, cut, nu):
+    # iterative_refinement reconstructs nodes and targets in one call;
+    # splitting the targets must not change a single bit
+    grid, basis, op, fmap = make_setup(10, nu)
+    y = forward_data(fmap, SampledFunction.from_callable(grid, lambda t: 1 + t * t))
+    whole = reconstruct_profile(op, basis, op.kernel, y, targets, fmap)
+    parts = reconstruct_profile(op, basis, op.kernel, y, targets[:cut], fmap)
+    parts += reconstruct_profile(op, basis, op.kernel, y, targets[cut:], fmap)
+    assert whole == parts
 
 
 def test_classical_single_kernel_forced_by_constraint():

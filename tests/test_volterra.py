@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bgrecon.grid import SampledFunction, UniformGrid
 from bgrecon.volterra import (
@@ -11,6 +13,7 @@ from bgrecon.volterra import (
     forward_data,
     forward_data_exact,
     forward_dA,
+    linearization_matrix,
 )
 
 
@@ -133,3 +136,55 @@ def test_discrete_duality_with_shared_quadrature():
     weights[0] = weights[-1] = h / 2
     rhs = np.sum(weights * adj.values * f.values)
     assert lhs == pytest.approx(rhs, rel=5e-3)
+
+
+@st.composite
+def linearizations(draw):
+    """Operator with a random sampled kernel, its forward map on the grid
+    nodes or on random off-grid nodes, and sampled functions x and f."""
+    n = draw(st.integers(1, 40))
+    grid = UniformGrid(n)
+    samples = st.lists(
+        st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1
+    ).map(lambda v: SampledFunction(grid, np.asarray(v)))
+    op = QuadraticVolterraOperator(draw(samples), draw(st.floats(0.0, 1.0)))
+    nodes = draw(
+        st.none()
+        | st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=20, unique=True).map(
+            sorted
+        )
+    )
+    return DiscreteForwardMap(op, nodes=nodes), draw(samples), draw(samples)
+
+
+@given(linearizations())
+def test_matrix_path_matches_scalar_reference(case):
+    fmap, x, f = case
+    op = fmap.op
+    np.testing.assert_allclose(
+        forward_data(fmap, x),
+        [apply_A(op, x, t) for t in fmap.nodes],
+        rtol=0,
+        atol=1e-13,
+    )
+    np.testing.assert_allclose(
+        forward_dA(fmap, x, f),
+        [apply_dA(op, x, f, t) for t in fmap.nodes],
+        rtol=0,
+        atol=1e-13,
+    )
+
+
+@given(linearizations(), st.data())
+def test_discrete_duality_is_exact(case, data):
+    fmap, x, f = case
+    w = np.asarray(
+        data.draw(
+            st.lists(
+                st.floats(-1.0, 1.0), min_size=fmap.nodes.size, max_size=fmap.nodes.size
+            )
+        )
+    )
+    d = linearization_matrix(fmap, x)
+    lhs = w @ forward_dA(fmap, x, f)
+    assert lhs == pytest.approx((d.T @ w) @ f.values, rel=0, abs=1e-12)
