@@ -21,6 +21,7 @@ outer radius being 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,37 +205,28 @@ class AnnulusBVPSolver:
                 add(row, self._idx(k, m + 1), 1 / (dt**2 * r**2))
                 add(row, self._idx(k, m - 1), 1 / (dt**2 * r**2))
 
-        # outer circle, k = n_r - 1; outward normal = +r. Neumann rows
-        # balance the half control volume at the rim: boundary flux r*g
-        # against the radial flux at r - dr/2 and the angular fluxes,
-        # normalized so the right-hand side is the prescribed g itself.
-        r_out = radii[-1]
-        r_om = r_out - dr / 2
-        for m in range(n_t):
-            row = self._idx(n_r - 1, m)
-            kind = self.kinds[self._outer_segment_of(m)]
-            if kind == DIRICHLET:
-                add(row, row, 1.0)
-            else:
-                add(row, row, r_om / (dr * r_out) + dr / (dt**2 * r_out**2))
-                add(row, self._idx(n_r - 2, m), -r_om / (dr * r_out))
-                add(row, self._idx(n_r - 1, m + 1), -dr / (2 * dt**2 * r_out**2))
-                add(row, self._idx(n_r - 1, m - 1), -dr / (2 * dt**2 * r_out**2))
-
-        # inner circle, k = 0; outward normal = -r, prescribed u_nu = g
-        # means u_r = -g at the hole.
-        kind_i = self.kinds[GAMMA_I]
-        r_in = radii[0]
-        r_ip = r_in + dr / 2
-        for m in range(n_t):
-            row = self._idx(0, m)
-            if kind_i == DIRICHLET:
-                add(row, row, 1.0)
-            else:
-                add(row, row, r_ip / (dr * r_in) + dr / (dt**2 * r_in**2))
-                add(row, self._idx(1, m), -r_ip / (dr * r_in))
-                add(row, self._idx(0, m + 1), -dr / (2 * dt**2 * r_in**2))
-                add(row, self._idx(0, m - 1), -dr / (2 * dt**2 * r_in**2))
+        # Neumann rows balance the half control volume at the rim: boundary
+        # flux r*g against the radial flux through the half-node radius
+        # r_h and the angular fluxes, normalized so the right-hand side is
+        # the prescribed g itself. On the outer circle (k = n_r - 1) the
+        # outward normal is +r; on the inner circle (k = 0) it is -r, so a
+        # prescribed u_nu = g means u_r = -g at the hole.
+        r_out, r_in = radii[-1], radii[0]
+        outer_kinds = [self.kinds[self._outer_segment_of(m)] for m in range(n_t)]
+        inner_kinds = [self.kinds[GAMMA_I]] * n_t
+        for k_b, k_n, r_b, r_h, ring_kinds in (
+            (n_r - 1, n_r - 2, r_out, r_out - dr / 2, outer_kinds),
+            (0, 1, r_in, r_in + dr / 2, inner_kinds),
+        ):
+            for m in range(n_t):
+                row = self._idx(k_b, m)
+                if ring_kinds[m] == DIRICHLET:
+                    add(row, row, 1.0)
+                else:
+                    add(row, row, r_h / (dr * r_b) + dr / (dt**2 * r_b**2))
+                    add(row, self._idx(k_n, m), -r_h / (dr * r_b))
+                    add(row, self._idx(k_b, m + 1), -dr / (2 * dt**2 * r_b**2))
+                    add(row, self._idx(k_b, m - 1), -dr / (2 * dt**2 * r_b**2))
 
         n = n_r * n_t
         self._matrix = sp.csc_matrix(
@@ -247,15 +239,14 @@ class AnnulusBVPSolver:
         rhs = np.zeros(g.n_r * g.n_theta)
         # outer halves
         for segment in (GAMMA_R, GAMMA_L):
-            kind, trace = spec.condition(segment)
+            trace = spec.condition(segment)[1]
             m_idx = g.segment_angular_indices(segment)
             for j, m in enumerate(m_idx):
                 if self._outer_segment_of(m) != segment:
                     continue
                 rhs[self._idx(g.n_r - 1, m)] = trace[j]
-        kind_i, trace_i = spec.condition(GAMMA_I)
-        for m in range(g.n_theta):
-            rhs[self._idx(0, m)] = trace_i[m]
+        # inner circle: ring k = 0 holds flat indices 0 .. n_theta - 1
+        rhs[: g.n_theta] = spec.condition(GAMMA_I)[1]
         return rhs
 
     def solve(self, spec: MixedBVPSpec) -> np.ndarray:
@@ -288,10 +279,19 @@ class AnnulusBVPSolver:
         return r_om * (u_b - field[-2]) / (dr * r_out) - dr * angular / 2
 
 
-def solve_mixed_bvp(grid: AnnulusGrid, spec: MixedBVPSpec) -> np.ndarray:
-    """Discrete harmonic field (n_r, n_theta) matching the boundary data."""
-    kinds = {seg: spec.condition(seg)[0] for seg in SEGMENTS}
-    return AnnulusBVPSolver(grid, kinds).solve(spec)
+# Boundary patterns as (Gamma_r, Gamma_l, Gamma_i) condition kinds. The
+# first serves A, A_sharp, the flux-to-trace matrix and step (i) of the
+# alternating iteration; the second serves its step (ii).
+DIRICHLET_R = (DIRICHLET, NEUMANN, NEUMANN)
+DIRICHLET_L = (NEUMANN, DIRICHLET, NEUMANN)
+
+
+@lru_cache(maxsize=8)
+def pattern_solver(grid: AnnulusGrid, kinds: tuple[str, str, str]) -> AnnulusBVPSolver:
+    """The factorized solver for a grid and a boundary pattern (kinds in
+    SEGMENTS order). The matrix does not depend on the data, so each
+    (grid, pattern) pair is factorized once per process and shared."""
+    return AnnulusBVPSolver(grid, dict(zip(SEGMENTS, kinds)))
 
 
 def _zero_trace(grid: AnnulusGrid, segment: str) -> np.ndarray:
@@ -316,29 +316,22 @@ def _outer_half_values(grid: AnnulusGrid, field_outer: np.ndarray, segment: str)
     return field_outer[grid.segment_angular_indices(segment)]
 
 
-def apply_A(grid: AnnulusGrid, phi: BoundaryTrace, solver=None) -> BoundaryTrace:
+def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     """A(phi) = trace on Gamma_l of the harmonic field with w = phi on
     Gamma_r and zero Neumann data on Gamma_l and Gamma_i."""
     if phi.segment != GAMMA_R:
         raise ValueError("phi must be a Gamma_r trace")
-    if solver is None:
-        solver = AnnulusBVPSolver(
-            grid, {GAMMA_R: DIRICHLET, GAMMA_L: NEUMANN, GAMMA_I: NEUMANN}
-        )
     spec = make_spec(grid, gamma_r=(DIRICHLET, phi.values))
-    w = solver.solve(spec)
+    w = pattern_solver(grid, DIRICHLET_R).solve(spec)
     return BoundaryTrace(grid, GAMMA_L, _outer_half_values(grid, w[-1], GAMMA_L))
 
 
-def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace, solver=None) -> BoundaryTrace:
+def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
     """A_sharp(psi) = normal derivative on Gamma_r of the harmonic field
     with v = 0 on Gamma_r, v_nu = psi on Gamma_l, v_nu = 0 on Gamma_i."""
     if psi.segment != GAMMA_L:
         raise ValueError("psi must be a Gamma_l trace")
-    if solver is None:
-        solver = AnnulusBVPSolver(
-            grid, {GAMMA_R: DIRICHLET, GAMMA_L: NEUMANN, GAMMA_I: NEUMANN}
-        )
+    solver = pattern_solver(grid, DIRICHLET_R)
     spec = make_spec(
         grid,
         gamma_r=(DIRICHLET, _zero_trace(grid, GAMMA_R)),
@@ -382,25 +375,19 @@ def correction_functional(
     )
 
 
-def flux_to_trace_matrix(grid: AnnulusGrid, solver=None) -> np.ndarray:
+def flux_to_trace_matrix(grid: AnnulusGrid) -> np.ndarray:
     """Dense matrix of the map from Gamma_l flux data to the Gamma_r
     normal-derivative trace, built column by column from unit fluxes.
 
     The columns for the two contact nodes are zero: the Dirichlet
     condition on Gamma_r owns those nodes, so their flux values never
     enter the solve."""
-    if solver is None:
-        solver = AnnulusBVPSolver(
-            grid, {GAMMA_R: DIRICHLET, GAMMA_L: NEUMANN, GAMMA_I: NEUMANN}
-        )
     n = grid.n_half + 1
     matrix = np.zeros((n, n))
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
-        matrix[:, j] = apply_A_sharp(
-            grid, BoundaryTrace(grid, GAMMA_L, unit), solver=solver
-        ).values
+        matrix[:, j] = apply_A_sharp(grid, BoundaryTrace(grid, GAMMA_L, unit)).values
     return matrix
 
 
@@ -408,7 +395,6 @@ def solve_sentinel_equation(
     grid: AnnulusGrid,
     mu: BoundaryTrace,
     rcond: float = 1e-8,
-    solver=None,
 ) -> BoundaryTrace:
     """Flux psi on Gamma_l with -A_sharp(psi) = mu, by truncated-SVD
     least squares on the assembled flux-to-trace matrix.
@@ -419,7 +405,7 @@ def solve_sentinel_equation(
     minimum-norm least-squares solution of the retained part."""
     if mu.segment != GAMMA_R:
         raise ValueError("mu must be a Gamma_r trace")
-    matrix = flux_to_trace_matrix(grid, solver=solver)
+    matrix = flux_to_trace_matrix(grid)
     u, s, vt = np.linalg.svd(matrix)
     keep = s > rcond * s[0]
     coeffs = (u[:, keep].T @ (-mu.values)) / s[keep]
@@ -456,12 +442,8 @@ def kozlov_mazya_solve(
     """
     if mu.segment != GAMMA_R:
         raise ValueError("mu must be a Gamma_r trace")
-    solver_n = AnnulusBVPSolver(
-        grid, {GAMMA_R: DIRICHLET, GAMMA_L: NEUMANN, GAMMA_I: NEUMANN}
-    )
-    solver_d = AnnulusBVPSolver(
-        grid, {GAMMA_R: NEUMANN, GAMMA_L: DIRICHLET, GAMMA_I: NEUMANN}
-    )
+    solver_n = pattern_solver(grid, DIRICHLET_R)
+    solver_d = pattern_solver(grid, DIRICHLET_L)
     gl_idx = grid.segment_angular_indices(GAMMA_L)
     gr_idx = grid.segment_angular_indices(GAMMA_R)
     eta = np.zeros(grid.n_half + 1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import annulus
 from .bspline import CubicBSplineBasis
-from .grid import NoiseSpec, SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, noise_direction
 from .hadamard import amplification_table, amplification_table_to_csv
 from .solver import profile_to_csv, reconstruct_profile
 from .svgplot import emit_plot
@@ -110,8 +110,7 @@ def _reconstruct_function(n, nu, eps, seed, fn):
     grid, basis, op, fmap = _moment_setup(n, nu)
     y = forward_data_exact(op, fn, fmap.nodes)
     if eps > 0:
-        rng = np.random.default_rng(seed)
-        y = y + y * eps * rng.uniform(-1.0, 1.0, size=y.shape)
+        y = y + y * eps * noise_direction(y.shape, seed)
     x0 = op.kernel
     return reconstruct_profile(op, basis, x0, y, _targets(grid), fmap)
 
@@ -387,12 +386,15 @@ def build_config(argv) -> ExperimentConfig:
     args = parser.parse_args(argv)
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.config:
-        file_vals = _load_config_file(args.config)
+        try:
+            file_vals = _load_config_file(args.config)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}") from exc
         casts = {"n": int, "nu": float, "eps": float, "seed": int, "out": str}
-        updates = {
-            k: casts[k](v) for k, v in file_vals.items() if k in casts
-        }
-        cfg = replace(cfg, **updates)
+        unknown = sorted(set(file_vals) - set(casts))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        cfg = replace(cfg, **{k: casts[k](v) for k, v in file_vals.items()})
     flag_updates = {
         k: v
         for k, v in (

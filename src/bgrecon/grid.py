@@ -93,8 +93,7 @@ def add_relative_noise(y: SampledFunction, spec: NoiseSpec) -> SampledFunction:
     The bound |y_j - y_eps_j| <= level * |y_j| holds entrywise and the
     draw is deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    u = rng.uniform(-1.0, 1.0, size=y.values.shape)
+    u = noise_direction(y.values.shape, spec.seed)
     return SampledFunction(y.grid, y.values + y.values * spec.level * u)
 
 

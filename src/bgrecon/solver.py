@@ -285,7 +285,6 @@ class ErrorBudget:
     constraint_term: float
     adjoint_defect_term: float
     dist_x_star: float | None = None
-    projector_norm: float | None = None
 
     def __post_init__(self):
         for name in (
@@ -316,8 +315,6 @@ class ErrorBudget:
         ]
         if self.dist_x_star is not None:
             lines.append(f"dist_x_star={self.dist_x_star:.12g}")
-        if self.projector_norm is not None:
-            lines.append(f"projector_norm={self.projector_norm:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -351,11 +348,8 @@ def error_budget(
     linearization = abs(w @ (ax_star - ax0 - da_diff))
     constraint = abs(w @ (ax0 - da_x0))
     adjoint_defect = abs(w @ da_xstar - mu(x_star))
-    dist_x = proj_norm = None
-    if basis is not None:
-        dist_x = subspace_distance(basis, x_star)
-        proj_norm = 1.0  # orthogonal projector in the discrete L2 surrogate
-    return ErrorBudget(noise, linearization, constraint, adjoint_defect, dist_x, proj_norm)
+    dist_x = subspace_distance(basis, x_star) if basis is not None else None
+    return ErrorBudget(noise, linearization, constraint, adjoint_defect, dist_x)
 
 
 def subspace_distance(basis: CubicBSplineBasis, x: SampledFunction) -> float:

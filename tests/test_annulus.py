@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bgrecon import annulus as an
+from bgrecon.cli import table1_rows
 
 
 def dirichlet_solver(grid):
@@ -347,3 +348,68 @@ def test_sentinel_reconstruct_recovers_functional():
     truth = an.trace_inner(mu, phi)
     value = an.sentinel_reconstruct(g, psi, f, 0.0, 0.0)
     assert value == pytest.approx(truth, abs=1e-8)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Empty the solver cache and count AnnulusBVPSolver constructions."""
+    an.pattern_solver.cache_clear()
+    calls = []
+    original = an.AnnulusBVPSolver.__init__
+
+    def counting(self, grid, kinds):
+        calls.append((grid, tuple(kinds[seg] for seg in an.SEGMENTS)))
+        original(self, grid, kinds)
+
+    monkeypatch.setattr(an.AnnulusBVPSolver, "__init__", counting)
+    yield calls
+    an.pattern_solver.cache_clear()
+
+
+def test_table1_factorizes_once(factorizations):
+    table1_rows()
+    assert factorizations == [(an.AnnulusGrid(33, 128), an.DIRICHLET_R)]
+
+
+def test_kozlov_mazya_factorizes_each_pattern_once(factorizations):
+    g = an.AnnulusGrid(9, 16)
+    mu = an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1))
+    first = an.kozlov_mazya_solve(g, mu, max_iter=5)
+    assert sorted(kinds for _, kinds in factorizations) == sorted(
+        [an.DIRICHLET_R, an.DIRICHLET_L]
+    )
+    again = an.kozlov_mazya_solve(an.AnnulusGrid(9, 16), mu, max_iter=5)
+    assert len(factorizations) == 2
+    np.testing.assert_array_equal(again.psi.values, first.psi.values)
+    np.testing.assert_array_equal(again.residuals, first.residuals)
+
+
+def test_cached_trace_operators_match_a_fresh_solver():
+    g = an.AnnulusGrid(17, 64)
+    t = g.arc_params
+    fresh = an.AnnulusBVPSolver(
+        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
+    )
+    cached = an.pattern_solver(g, an.DIRICHLET_R)
+    assert cached is an.pattern_solver(an.AnnulusGrid(17, 64), an.DIRICHLET_R)
+    assert cached is not fresh
+    phi = np.sin(t) + t**2
+    spec = an.make_spec(g, gamma_r=(an.DIRICHLET, phi))
+    w = fresh.solve(spec)
+    np.testing.assert_array_equal(cached.solve(spec), w)
+    np.testing.assert_array_equal(
+        an.apply_A(g, an.BoundaryTrace(g, an.GAMMA_R, phi)).values,
+        w[-1][g.segment_angular_indices(an.GAMMA_L)],
+    )
+    psi = np.cos(t) - 0.5
+    v = fresh.solve(
+        an.make_spec(
+            g,
+            gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1)),
+            gamma_l=(an.NEUMANN, psi),
+        )
+    )
+    np.testing.assert_array_equal(
+        an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi)).values,
+        fresh.outer_normal_derivative(v)[g.segment_angular_indices(an.GAMMA_R)],
+    )

@@ -44,6 +44,28 @@ def test_nonfinite_config_value_is_rejected(tmp_path, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_is_rejected(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg_path.mkdir()
+    out = tmp_path / "out"
+    code = main(["hadamard", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_UNKNOWN_ID
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+    assert not out.exists()
+
+
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n=30\nbogus=1\n")
+    out = tmp_path / "out"
+    code = main(["hadamard", "--config", str(cfg_file), "--out", str(out)])
+    assert code == EXIT_UNKNOWN_ID
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_unknown_experiment_exit_code():
     assert main(["not_an_experiment"]) == EXIT_UNKNOWN_ID
 
