@@ -113,7 +113,8 @@ class BoundaryTrace:
             params = grid.thetas
         else:
             params = grid.arc_params
-        return cls(grid, segment, np.asarray([fn(t) for t in params], dtype=float))
+        values = np.fromiter(map(fn, params.tolist()), float, len(params))
+        return cls(grid, segment, values)
 
     def to_csv(self, path) -> None:
         params = (

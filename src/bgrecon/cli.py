@@ -6,7 +6,8 @@ Usage: bgrecon <experiment-id> [--n N] [--nu NU] [--eps EPS] [--seed S]
 
 Experiment ids: fig1 fig2 fig3 fig4 fig5 fig6 table1 hadamard.
 Config files are flat key=value text with the same keys as the flags;
-flags override the file.
+flags override the file. Only fig2 reads --n, --nu, --eps and --seed;
+setting one of them for another experiment is an error.
 """
 
 from __future__ import annotations
@@ -39,19 +40,26 @@ EXIT_UNKNOWN_ID = 2
 EXIT_NUMERICAL = 3
 EXIT_UNWRITABLE = 4
 
+# Configuration parameters each experiment reads; the others fix them.
+PARAMETERS = ("n", "nu", "eps", "seed")
+HONOURED = {"fig2": PARAMETERS}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     n: int = 25
     nu: float = 0.0
-    eps: float = 0.0
+    eps: float | None = None
     seed: int = 1
     out: str = "."
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
+        if self.eps is None:
+            # fig2 perturbs its data by 1 % unless eps says otherwise
+            object.__setattr__(self, "eps", 0.01 if self.experiment == "fig2" else 0.0)
         if self.n < 4:
             raise ValueError(f"need N >= 4, got {self.n}")
         if not (math.isfinite(self.nu) and self.nu >= 0):
@@ -145,10 +153,9 @@ def _run_fig1(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_fig2(cfg: ExperimentConfig, out: str) -> list[str]:
-    eps = cfg.eps if cfg.eps > 0 else 0.01
     files = []
     for fname, fn in (("x_a", x_a), ("x_b", x_b), ("x_c", x_c)):
-        pairs = _reconstruct_function(cfg.n, 0.0, eps, cfg.seed, fn)
+        pairs = _reconstruct_function(cfg.n, cfg.nu, cfg.eps, cfg.seed, fn)
         path = os.path.join(out, f"fig2_{fname}_N{cfg.n}.csv")
         profile_to_csv(pairs, path, truth=fn)
         files.append(path)
@@ -385,6 +392,7 @@ def build_config(argv) -> ExperimentConfig:
     parser.add_argument("--config", default=None, help="flat key=value file")
     args = parser.parse_args(argv)
     cfg = ExperimentConfig(experiment=args.experiment)
+    updates = {}
     if args.config:
         try:
             file_vals = _load_config_file(args.config)
@@ -394,19 +402,15 @@ def build_config(argv) -> ExperimentConfig:
         unknown = sorted(set(file_vals) - set(casts))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        cfg = replace(cfg, **{k: casts[k](v) for k, v in file_vals.items()})
-    flag_updates = {
-        k: v
-        for k, v in (
-            ("n", args.n),
-            ("nu", args.nu),
-            ("eps", args.eps),
-            ("seed", args.seed),
-            ("out", args.out),
-        )
-        if v is not None
-    }
-    return replace(cfg, **flag_updates)
+        updates = {k: casts[k](v) for k, v in file_vals.items()}
+    for key in (*PARAMETERS, "out"):
+        if getattr(args, key) is not None:
+            updates[key] = getattr(args, key)
+    honoured = HONOURED.get(cfg.experiment, ())
+    ignored = [k for k in PARAMETERS if k in updates and k not in honoured]
+    if ignored:
+        raise ValueError(f"{cfg.experiment} does not read {', '.join(ignored)}")
+    return replace(cfg, **updates)
 
 
 def main(argv=None) -> int:

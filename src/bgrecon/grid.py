@@ -45,7 +45,8 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, grid: UniformGrid, f) -> "SampledFunction":
-        return cls(grid, np.asarray([f(t) for t in grid.nodes], dtype=float))
+        nodes = grid.nodes
+        return cls(grid, np.fromiter(map(f, nodes.tolist()), float, len(nodes)))
 
     def __call__(self, t):
         """Piecewise-linear interpolation; arguments are clamped to [0,1]."""

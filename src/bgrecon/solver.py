@@ -143,7 +143,7 @@ def reconstruct_profile(
     The weight system does not depend on the data or on the target, so
     the matrix is assembled and pseudo-inverted once, and the data row
     y^T pinv is applied to the (N+1) x T matrix of all right-hand sides
-    at once.
+    at once. Raises FloatingPointError if any value is not finite.
     """
     targets = list(targets)
     if not targets:
@@ -158,6 +158,8 @@ def reconstruct_profile(
     # order (np.sum and matmul group them by shape), so a target's value
     # does not depend on the other targets in the call.
     values = np.cumsum(data_row[:, None] * rhs, axis=0)[-1]
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("reconstructed values are not finite")
     return [(t0, float(v)) for t0, v in zip(targets, values)]
 
 

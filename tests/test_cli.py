@@ -4,6 +4,7 @@ import stat
 import pytest
 
 from bgrecon.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNKNOWN_ID,
     EXIT_UNWRITABLE,
@@ -64,6 +65,61 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert code == EXIT_UNKNOWN_ID
     assert "bogus" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nonfinite_reconstruction_exits_numerical(tmp_path, capsys):
+    code = main(["fig2", "--eps", "1e308", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: numerical failure")
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--n", "7"],
+        ["fig4", "--nu", "5"],
+        ["fig3", "--eps", "0.1"],
+        ["table1", "--seed", "3"],
+        ["hadamard", "--n", "30", "--seed", "2"],
+    ],
+)
+def test_unread_parameter_flag_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_UNKNOWN_ID
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_unread_parameter_in_config_file_is_rejected(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("nu=0.5\n")
+    out = tmp_path / "out"
+    assert main(["fig5", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "nu" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig2_honours_and_records_its_parameters(tmp_path):
+    runs = {
+        "default": [],
+        "eps": ["--eps", "0.01"],
+        "nu": ["--nu", "0.01"],
+        "exact": ["--eps", "0"],
+    }
+    manifests = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main(["fig2", *flags, "--out", str(out)]) == EXIT_OK
+        manifests[name] = (out / "manifest.txt").read_text().splitlines()
+    # the default run perturbs its data by 1 % and says so
+    assert "eps=0.01" in manifests["default"]
+    assert manifests["eps"] == manifests["default"]
+    assert "nu=0.01" in manifests["nu"]
+    assert "eps=0" in manifests["exact"]
+    # lines 5.. are the artifact checksums
+    assert manifests["nu"][5:] != manifests["default"][5:]
+    assert manifests["exact"][5:] != manifests["default"][5:]
 
 
 def test_main_unknown_experiment_exit_code():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgrecon.cli import x_a, x_b, x_c, x_sq
 from bgrecon.grid import SampledFunction, UniformGrid
 from bgrecon.volterra import (
     DiscreteForwardMap,
@@ -75,6 +76,81 @@ def test_forward_data_exact_against_closed_form():
     y = forward_data_exact(op, lambda t: 2 * t, m=2048)
     for i, t in enumerate(op.grid.nodes[1:]):
         assert y[i] == pytest.approx(t**3 / 3, rel=1e-6)
+
+
+def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096):
+    """Reference: the per-point loop that hands x_fn numpy.float64 points."""
+    if nodes is None:
+        nodes = op.grid.nodes[1:]
+    out = np.zeros(len(nodes))
+    for i, t in enumerate(nodes):
+        s = np.linspace(0.0, t, m + 1)
+        x_s = np.asarray([x_fn(v) for v in s])
+        x_rev = x_s[::-1]
+        integrand = op.kernel(t - s) * x_s + op.nu * x_rev * x_s
+        out[i] = np.trapezoid(integrand, s)
+    return out
+
+
+@pytest.mark.parametrize("x_fn", [x_a, x_b, x_c, x_sq])
+@pytest.mark.parametrize("m", [8 * 16, 4096])
+def test_forward_data_exact_matches_loop_bit_for_bit(x_fn, m):
+    op = make_op(16, nu=0.3)
+    assert np.array_equal(
+        forward_data_exact(op, x_fn, m=m), _forward_data_exact_loop(op, x_fn, m=m)
+    )
+
+
+@st.composite
+def piecewise_linear_cases(draw):
+    """Operator, scalar piecewise-linear callable with if branches, m and
+    measurement nodes (None for the grid nodes, else off-grid)."""
+    n = draw(st.integers(4, 8))
+    op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
+    k1, k2 = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2)))
+    v0, v1, v2 = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+
+    def x_fn(t):
+        if t < k1:
+            return v0 + (v1 - v0) * t
+        if t < k2:
+            return v1 - v2 * (t - k1)
+        return v2 * t
+
+    m = draw(st.sampled_from([8 * n, 4096]))
+    nodes = draw(
+        st.none()
+        | st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6, unique=True).map(
+            lambda v: np.asarray(sorted(v))
+        )
+    )
+    return op, x_fn, m, nodes
+
+
+@settings(max_examples=25)
+@given(piecewise_linear_cases())
+def test_forward_data_exact_matches_loop_for_branchy_callables(case):
+    op, x_fn, m, nodes = case
+    assert np.array_equal(
+        forward_data_exact(op, x_fn, nodes, m=m),
+        _forward_data_exact_loop(op, x_fn, nodes, m=m),
+    )
+
+
+@pytest.mark.parametrize("nodes", [None, np.array([0.13, 0.5, 0.91])])
+def test_forward_data_exact_calls_x_with_python_floats(nodes):
+    op = make_op(12, nu=0.2)
+    args = []
+
+    def x_fn(t):
+        args.append(t)
+        return x_b(t)
+
+    m = 96
+    forward_data_exact(op, x_fn, nodes, m=m)
+    n_nodes = op.grid.n if nodes is None else len(nodes)
+    assert len(args) == n_nodes * (m + 1)
+    assert all(type(t) is float for t in args)
 
 
 def test_linearization_uses_doubled_quadratic_term():
