@@ -43,6 +43,8 @@ EXIT_UNWRITABLE = 4
 # Configuration parameters each experiment reads; the others fix them.
 PARAMETERS = ("n", "nu", "eps", "seed")
 HONOURED = {"fig2": PARAMETERS}
+# How the manifest writes the float parameters; n and seed are integers.
+_FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,10 @@ def _run_fig6(cfg: ExperimentConfig, out: str) -> list[str]:
     return files
 
 
-def table1_rows(n_r: int = 33, n_theta: int = 128):
+TABLE1_GRID = (33, 128)
+
+
+def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
     """Rows (name, <mu,phi>, <psi,f>, corrected, relative error) for the
     two direct-problem traces.
 
@@ -306,7 +311,15 @@ def _run_table1(cfg: ExperimentConfig, out: str) -> list[str]:
             fh.write(
                 f"{name},{truth:.12g},{raw:.12g},{corrected:.12g},{rel:.12g}\n"
             )
-    return [path]
+    # the spectrum behind psi: table1_rows filled the cache for this grid
+    _, sigma, _ = annulus.flux_to_trace_svd(annulus.AnnulusGrid(*TABLE1_GRID))
+    kept = sigma > annulus.SENTINEL_RCOND * sigma[0]
+    spath = os.path.join(out, "table1_tsvd.csv")
+    with open(spath, "w", newline="") as fh:
+        fh.write("index,sigma,relative,kept\n")
+        for i, (s, k) in enumerate(zip(sigma, kept)):
+            fh.write(f"{i},{s:.12g},{s / sigma[0]:.12g},{int(k)}\n")
+    return [path, spath]
 
 
 def _run_hadamard(cfg: ExperimentConfig, out: str) -> list[str]:
@@ -348,7 +361,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
     try:
-        files = _RUNNERS[config.experiment](config, out)
+        # overflow or NaN anywhere in a run is a numerical failure, not a warning
+        with np.errstate(over="raise", invalid="raise"):
+            files = _RUNNERS[config.experiment](config, out)
     except OSError as exc:
         print(f"error: cannot write artifact: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
@@ -358,10 +373,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     manifest = os.path.join(out, "manifest.txt")
     with open(manifest, "w", newline="") as fh:
         fh.write(f"experiment={config.experiment}\n")
-        fh.write(f"n={config.n}\n")
-        fh.write(f"nu={config.nu:.12g}\n")
-        fh.write(f"eps={config.eps:.12g}\n")
-        fh.write(f"seed={config.seed}\n")
+        for key in HONOURED.get(config.experiment, ()):
+            fh.write(f"{key}={getattr(config, key):{_FLOAT_FORMAT.get(key, '')}}\n")
         for path in files:
             fh.write(f"{os.path.basename(path)},{_sha256(path)}\n")
     return EXIT_OK

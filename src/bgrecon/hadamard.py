@@ -31,24 +31,16 @@ def u_k(k: int, x: float, y: float) -> float:
     return _sinh(math.pi * k * y) * math.sin(math.pi * k * x) / (math.pi * k) ** 2
 
 
-def _sinh(x: float) -> float:
+def _sinh(x: float, denom: float = 1.0) -> float:
+    """sinh(x)/denom for denom > 0 without intermediate overflow, for
+    either sign of x; +-inf once the quotient itself overflows."""
     if abs(x) < 700:
-        return math.sinh(x)
+        return math.sinh(x) / denom
     # log-scale: sinh(x) ~ sign(x) * exp(|x|) / 2 for large |x|
     try:
-        return math.copysign(math.exp(abs(x) - math.log(2.0)), x)
+        return math.copysign(math.exp(abs(x) - math.log(2.0) - math.log(denom)), x)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def _sinh_over(x: float, denom: float) -> float:
-    """sinh(x)/denom without intermediate overflow."""
-    if x < 700:
-        return math.sinh(x) / denom
-    try:
-        return math.exp(x - math.log(2.0) - math.log(denom))
-    except OverflowError:
-        return math.inf
 
 
 def amplification_table(k_max: int) -> list[tuple[int, float, float, float]]:
@@ -64,8 +56,8 @@ def amplification_table(k_max: int) -> list[tuple[int, float, float, float]]:
     for k in range(1, k_max + 1):
         pk = math.pi * k
         data_norm = 1.0 / pk
-        solution_sup = _sinh_over(pk, pk * pk)
-        ratio = _sinh_over(pk, pk)
+        solution_sup = _sinh(pk, pk * pk)
+        ratio = _sinh(pk, pk)
         rows.append((k, data_norm, solution_sup, ratio))
     return rows
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -352,8 +354,10 @@ def test_sentinel_reconstruct_recovers_functional():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Empty the solver cache and count AnnulusBVPSolver constructions."""
+    """Empty the solver and TSVD caches and count AnnulusBVPSolver
+    constructions."""
     an.pattern_solver.cache_clear()
+    an.flux_to_trace_svd.cache_clear()
     calls = []
     original = an.AnnulusBVPSolver.__init__
 
@@ -364,6 +368,7 @@ def factorizations(monkeypatch):
     monkeypatch.setattr(an.AnnulusBVPSolver, "__init__", counting)
     yield calls
     an.pattern_solver.cache_clear()
+    an.flux_to_trace_svd.cache_clear()
 
 
 def test_table1_factorizes_once(factorizations):
@@ -413,3 +418,142 @@ def test_cached_trace_operators_match_a_fresh_solver():
         an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi)).values,
         fresh.outer_normal_derivative(v)[g.segment_angular_indices(an.GAMMA_R)],
     )
+
+
+def fresh_tsvd_psi(g, mu, rcond=an.SENTINEL_RCOND):
+    """TSVD solve of -A_sharp(psi) = mu from an uncached SVD."""
+    u, s, vt = np.linalg.svd(an.flux_to_trace_matrix(g))
+    keep = s > rcond * s[0]
+    return vt[keep].T @ ((u[:, keep].T @ (-mu.values)) / s[keep])
+
+
+def test_sentinel_psi_matches_an_uncached_tsvd(factorizations):
+    g = an.AnnulusGrid(17, 64)
+    mu = an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, 1.0 + np.cos(g.arc_params)))
+    expected = fresh_tsvd_psi(g, mu)
+    first = an.solve_sentinel_equation(g, mu)
+    again = an.solve_sentinel_equation(an.AnnulusGrid(17, 64), mu)
+    np.testing.assert_array_equal(first.values, expected)
+    np.testing.assert_array_equal(again.values, expected)
+    # rcond acts on the cached factors at call time
+    np.testing.assert_array_equal(
+        an.solve_sentinel_equation(g, mu, rcond=1e-3).values,
+        fresh_tsvd_psi(g, mu, rcond=1e-3),
+    )
+
+
+def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch):
+    g = an.AnnulusGrid(17, 64)
+    mu = an.BoundaryTrace(g, an.GAMMA_R, np.sin(g.arc_params))
+    calls = []
+    original = an.AnnulusBVPSolver.solve
+
+    def counting(self, spec):
+        calls.append(spec)
+        return original(self, spec)
+
+    monkeypatch.setattr(an.AnnulusBVPSolver, "solve", counting)
+    an.solve_sentinel_equation(g, mu)
+    assert len(calls) == g.n_half + 1
+    calls.clear()
+    an.solve_sentinel_equation(an.AnnulusGrid(17, 64), mu)
+    assert calls == []
+
+
+def test_cached_tsvd_factors_are_read_only(factorizations):
+    g = an.AnnulusGrid(9, 16)
+    for factor in an.flux_to_trace_svd(g):
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+    # the public matrix stays a fresh, writable array
+    matrix = an.flux_to_trace_matrix(g)
+    matrix[0, 0] = 1.0
+    assert an.flux_to_trace_matrix(g)[0, 0] != 1.0
+
+
+def rhs_by_node(solver, spec):
+    """Right-hand side written node by node, with Dirichlet owning the
+    two contact nodes (Gamma_r when both outer halves are Dirichlet or
+    both Neumann)."""
+    g, kinds = solver.grid, solver.kinds
+    n_t = g.n_theta
+    rhs = np.zeros(g.n_r * n_t)
+    for segment in (an.GAMMA_R, an.GAMMA_L):
+        trace = spec.condition(segment)[1]
+        for j, m in enumerate(g.segment_angular_indices(segment)):
+            if m in (0, g.n_half):
+                if kinds[an.GAMMA_R] == an.DIRICHLET:
+                    owner = an.GAMMA_R
+                elif kinds[an.GAMMA_L] == an.DIRICHLET:
+                    owner = an.GAMMA_L
+                else:
+                    owner = an.GAMMA_R
+            else:
+                owner = an.GAMMA_R if m < g.n_half else an.GAMMA_L
+            if owner == segment:
+                rhs[(g.n_r - 1) * n_t + m] = trace[j]
+    rhs[:n_t] = spec.condition(an.GAMMA_I)[1]
+    return rhs
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        kinds
+        for kinds in itertools.product((an.DIRICHLET, an.NEUMANN), repeat=3)
+        if an.DIRICHLET in kinds
+    ],
+)
+def test_rhs_scatter_matches_node_by_node(kinds):
+    g = an.AnnulusGrid(9, 16)
+    solver = an.AnnulusBVPSolver(g, dict(zip(an.SEGMENTS, kinds)))
+    rng = np.random.default_rng(5)
+    # distinct values at the contact nodes on each half, so ownership shows
+    spec = an.MixedBVPSpec(
+        *(
+            (kind, rng.uniform(-1.0, 1.0, g.segment_size(seg)))
+            for seg, kind in zip(an.SEGMENTS, kinds)
+        )
+    )
+    np.testing.assert_array_equal(solver._rhs(spec), rhs_by_node(solver, spec))
+
+
+def test_fine_grid_solve_refines_a_residual_above_tolerance():
+    # Data on which the plain LU solve at 65 x 256 leaves a residual of
+    # 2.2e-10 against a tolerance of 2.1e-10 (|A| ~ 9e4, |u| ~ 2.6).
+    g = an.AnnulusGrid(65, 256)
+    t = g.arc_params
+    flux = 1.0 - 0.09746079213710429 * np.cos(t) + 0.023852225648510084 * np.sin(2 * t)
+    spec = an.make_spec(
+        g,
+        gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1)),
+        gamma_l=(an.NEUMANN, flux),
+    )
+    solver = an.pattern_solver(g, an.DIRICHLET_R)
+    u = solver.solve(spec).ravel()
+    rhs = solver._rhs(spec)
+    assert np.max(np.abs(solver._matrix @ u - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
+
+
+class _OffsetLU:
+    """LU stand-in whose solves are off by a fixed relative error."""
+
+    def __init__(self, lu, error):
+        self.lu, self.error = lu, error
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs) * (1.0 + self.error)
+
+
+def test_solve_refines_once_and_then_rejects():
+    g = an.AnnulusGrid(9, 16)
+    spec = an.make_spec(g, gamma_r=(an.DIRICHLET, np.cos(g.arc_params)))
+    solver = an.AnnulusBVPSolver(g, dict(zip(an.SEGMENTS, an.DIRICHLET_R)))
+    expected = solver.solve(spec)
+    # an error of 1e-6 is 1e-12 after one refinement step
+    solver._lu = _OffsetLU(solver._lu, 1e-6)
+    np.testing.assert_allclose(solver.solve(spec), expected, rtol=0, atol=1e-10)
+    # an error that one step cannot remove is still rejected
+    solver._lu = _OffsetLU(solver._lu.lu, 0.5)
+    with pytest.raises(RuntimeError):
+        solver.solve(spec)

@@ -1,5 +1,6 @@
 import os
 import stat
+import warnings
 
 import pytest
 
@@ -74,6 +75,16 @@ def test_nonfinite_reconstruction_exits_numerical(tmp_path, capsys):
     assert not (tmp_path / "manifest.txt").exists()
 
 
+def test_numerical_failure_prints_only_the_error_line(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fig2", "--eps", "1e308", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -120,6 +131,36 @@ def test_fig2_honours_and_records_its_parameters(tmp_path):
     # lines 5.. are the artifact checksums
     assert manifests["nu"][5:] != manifests["default"][5:]
     assert manifests["exact"][5:] != manifests["default"][5:]
+
+
+def test_manifest_records_only_parameters_the_run_reads(tmp_path):
+    # fig4 runs nu in {0.01, 0.1, 1}; a nu= line would misstate it
+    assert main(["fig4", "--out", str(tmp_path)]) == EXIT_OK
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert manifest[0] == "experiment=fig4"
+    assert all("," in line for line in manifest[1:])
+    assert len(manifest) == 5
+
+
+def test_table1_writes_the_tsvd_spectrum(tmp_path):
+    assert main(["table1", "--out", str(tmp_path)]) == EXIT_OK
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert [line.split(",")[0] for line in manifest[1:]] == [
+        "table1.csv",
+        "table1_tsvd.csv",
+    ]
+    lines = (tmp_path / "table1_tsvd.csv").read_text().splitlines()
+    assert lines[0] == "index,sigma,relative,kept"
+    rows = [line.split(",") for line in lines[1:]]
+    # the 33 x 128 grid has 65 nodes on each outer half
+    assert [int(r[0]) for r in rows] == list(range(65))
+    sigma = [float(r[1]) for r in rows]
+    assert sigma == sorted(sigma, reverse=True)
+    assert float(rows[0][2]) == 1.0
+    kept = [int(r[3]) for r in rows]
+    assert kept == [int(float(r[2]) > 1e-8) for r in rows]
+    # the two contact columns are zero, so at least two values are cut
+    assert 0 < sum(kept) <= 63
 
 
 def test_main_unknown_experiment_exit_code():

@@ -66,3 +66,26 @@ def test_csv_output(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,data_norm,solution_sup,ratio"
     assert len(lines) == 4
+
+
+def test_solution_beyond_the_log_scale_switch_is_unchanged():
+    # the closed form as first written: sinh switches to exp(|x|)/2 at
+    # |x| >= 700 and saturates to +-inf
+    def u_reference(k, x, y):
+        z = math.pi * k * y
+        if abs(z) < 700:
+            sinh = math.sinh(z)
+        else:
+            try:
+                sinh = math.copysign(math.exp(abs(z) - math.log(2.0)), z)
+            except OverflowError:
+                sinh = math.copysign(math.inf, z)
+        return sinh * math.sin(math.pi * k * x) / (math.pi * k) ** 2
+
+    for k in (1, 223, 225, 300):
+        for y in (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0):
+            for x in (0.37, 0.61):
+                assert u_k(k, x, y) == u_reference(k, x, y)
+    # pi * 223 > 700: finite on the log scale; pi * 300: saturated
+    assert -math.inf < u_k(223, 0.37, -1.0) < -1e290
+    assert u_k(300, 0.37, -1.0) == -math.inf
