@@ -2,11 +2,9 @@
 Cauchy problem on an annulus."""
 
 from .annulus import (
-    AnnulusBVPSolver,
     AnnulusGrid,
     BoundaryTrace,
     KozlovMazyaResult,
-    MixedBVPSpec,
     correction_functional,
     eta_blend,
     kozlov_mazya_solve,
@@ -16,63 +14,38 @@ from .annulus import (
 )
 from .bspline import CubicBSplineBasis, delta_moments, interpolate
 from .hadamard import amplification_table, phi_k, u_k
-from .grid import (
-    NoiseSpec,
-    SampledFunction,
-    UniformGrid,
-    add_relative_noise,
-    quad_weighted_integral,
-    sup_error,
-)
+from .grid import SampledFunction, UniformGrid, quad_weighted_integral
 from .solver import (
     AssembledSystem,
     ErrorBudget,
     WeightVector,
     assemble_adjoint_system,
-    classical_bg_weights,
     error_budget,
-    extended_bg_weights,
     iterative_refinement,
     reconstruct_profile,
     reconstruct_value,
     solve_weights,
 )
-from .volterra import (
-    DiscreteForwardMap,
-    QuadraticVolterraOperator,
-    apply_A,
-    apply_dA,
-    apply_dA_adjoint,
-    forward_data,
-)
+from .volterra import DiscreteForwardMap, QuadraticVolterraOperator, forward_data
 
 __all__ = [
-    "AnnulusBVPSolver",
     "AnnulusGrid",
     "AssembledSystem",
     "BoundaryTrace",
     "KozlovMazyaResult",
-    "MixedBVPSpec",
     "CubicBSplineBasis",
     "DiscreteForwardMap",
     "ErrorBudget",
-    "NoiseSpec",
     "QuadraticVolterraOperator",
     "SampledFunction",
     "UniformGrid",
     "WeightVector",
-    "add_relative_noise",
     "amplification_table",
-    "apply_A",
-    "apply_dA",
-    "apply_dA_adjoint",
     "assemble_adjoint_system",
-    "classical_bg_weights",
     "correction_functional",
     "delta_moments",
     "error_budget",
     "eta_blend",
-    "extended_bg_weights",
     "forward_data",
     "interpolate",
     "iterative_refinement",
@@ -84,7 +57,6 @@ __all__ = [
     "sentinel_reconstruct",
     "solve_sentinel_equation",
     "solve_weights",
-    "sup_error",
     "trace_inner",
     "u_k",
 ]

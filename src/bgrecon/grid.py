@@ -1,4 +1,4 @@
-"""Uniform grids on [0,1], trapezoid quadrature, norms and noise injection."""
+"""Uniform grids on [0,1], trapezoid quadrature and seeded noise directions."""
 
 from __future__ import annotations
 
@@ -59,18 +59,6 @@ class SampledFunction:
                 fh.write(f"{t:.12g},{v:.12g}\n")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Relative noise level and RNG seed for reproducible perturbations."""
-
-    level: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.level}")
-
-
 def quad_weighted_integral(f: SampledFunction, a: float, b: float) -> float:
     """Integral of the piecewise-linear interpolant of f over [a,b].
 
@@ -88,24 +76,7 @@ def quad_weighted_integral(f: SampledFunction, a: float, b: float) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def add_relative_noise(y: SampledFunction, spec: NoiseSpec) -> SampledFunction:
-    """Perturb each entry by y_j * level * u_j with u_j uniform in [-1,1].
-
-    The bound |y_j - y_eps_j| <= level * |y_j| holds entrywise and the
-    draw is deterministic for a fixed seed.
-    """
-    u = noise_direction(y.values.shape, spec.seed)
-    return SampledFunction(y.grid, y.values + y.values * spec.level * u)
-
-
 def noise_direction(shape, seed: int) -> np.ndarray:
     """The uniform [-1,1] direction vector a given seed produces."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, size=shape)
-
-
-def sup_error(f: SampledFunction, g: SampledFunction) -> float:
-    """Nodewise sup-norm distance max_j |f_j - g_j| on a shared grid."""
-    if f.grid.n != g.grid.n:
-        raise ValueError(f"grid mismatch: {f.grid.n} vs {g.grid.n}")
-    return float(np.max(np.abs(f.values - g.values)))

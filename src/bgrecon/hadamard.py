@@ -8,26 +8,22 @@ up, so the data-to-solution map is unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-@dataclass(frozen=True)
-class HadamardInstance:
-    k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"frequency must be a positive integer, got {self.k}")
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"frequency must be a positive integer, got {k}")
 
 
 def phi_k(k: int, x: float) -> float:
     """Cauchy datum sin(pi k x) / (pi k)."""
-    HadamardInstance(k)
+    _check_k(k)
     return math.sin(math.pi * k * x) / (math.pi * k)
 
 
 def u_k(k: int, x: float, y: float) -> float:
     """Harmonic solution sinh(pi k y) sin(pi k x) / (pi k)^2."""
-    HadamardInstance(k)
+    _check_k(k)
     return _sinh(math.pi * k * y) * math.sin(math.pi * k * x) / (math.pi * k) ** 2
 
 

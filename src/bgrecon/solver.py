@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import CubicBSplineBasis, delta_moments, interpolate
+# quad_weighted_integral is not called here; bench/tracing.py patches this name.
 from .grid import SampledFunction, quad_weighted_integral
 from .volterra import (
     DiscreteForwardMap,
@@ -40,7 +40,6 @@ CONDITION_LIMIT = 1e12
 @dataclass(frozen=True)
 class WeightVector:
     coefficients: np.ndarray = field(repr=False)
-    target: tuple
     residual: float = 0.0
 
     def __post_init__(self):
@@ -105,7 +104,7 @@ def assemble_adjoint_system(
     return AssembledSystem(matrix, rhs, condition)
 
 
-def solve_weights(system: AssembledSystem, target: tuple = ("moments",)) -> WeightVector:
+def solve_weights(system: AssembledSystem) -> WeightVector:
     """Least-squares solution of the overdetermined system (minimum-norm
     when rank deficient)."""
     phi, _, rank, _ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
@@ -118,7 +117,7 @@ def solve_weights(system: AssembledSystem, target: tuple = ("moments",)) -> Weig
             stacklevel=2,
         )
     residual = float(np.linalg.norm(system.matrix @ phi - system.rhs))
-    return WeightVector(phi, target, residual)
+    return WeightVector(phi, residual)
 
 
 def reconstruct_value(phi: WeightVector, y_data: np.ndarray) -> float:
@@ -173,66 +172,6 @@ def profile_to_csv(pairs, path, truth: Callable[[float], float] | None = None) -
             fh.write("t,reconstructed,truth\n")
             for t0, v in pairs:
                 fh.write(f"{t0:.12g},{v:.12g},{truth(t0):.12g}\n")
-
-
-def classical_bg_weights(
-    kernels: Sequence[SampledFunction], t0: float
-) -> WeightVector:
-    """Classical Backus-Gilbert weights for given data kernels K_i.
-
-    Minimizes J(phi) = int |t0-s|^2 (sum_i phi_i K_i(s))^2 ds subject to
-    the unit-integral constraint int sum_i phi_i K_i = 1, via a single
-    Lagrange multiplier: phi = G^-1 k / (k^T G^-1 k).
-    """
-    if not kernels:
-        raise ValueError("need at least one kernel")
-    grid = kernels[0].grid
-    s = grid.nodes
-    m = len(kernels)
-    gram = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            integrand = SampledFunction(
-                grid, (t0 - s) ** 2 * kernels[i].values * kernels[j].values
-            )
-            gram[i, j] = gram[j, i] = quad_weighted_integral(integrand, 0.0, 1.0)
-    k = np.asarray([quad_weighted_integral(ki, 0.0, 1.0) for ki in kernels])
-    try:
-        c = scipy.linalg.solve(gram, k, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise NearSingularSystemError(f"singular Gram matrix: {exc}") from exc
-    if not np.all(np.isfinite(c)):
-        raise NearSingularSystemError("singular Gram matrix")
-    denom = k @ c
-    if abs(denom) < 1e-14 * (1 + np.linalg.norm(k) * np.linalg.norm(c)):
-        raise ValueError("unit-integral constraint infeasible: k^T G^-1 k = 0")
-    phi = c / denom
-    return WeightVector(phi, ("classical", t0), 0.0)
-
-
-def extended_bg_weights(bgh: np.ndarray, a_row: np.ndarray) -> WeightVector:
-    """Extended Backus-Gilbert weights: minimize phi^T Q phi subject to
-    a_row . phi = 1, with Q the eigenvalue-clamped symmetrization of bgh.
-
-    Ties (directions Q does not see) are broken by minimum norm, so
-    Q = 0 returns the minimum-norm feasible point a_row/||a_row||^2.
-    """
-    bgh = np.asarray(bgh, dtype=float)
-    a_row = np.asarray(a_row, dtype=float)
-    norm_a = np.linalg.norm(a_row)
-    if norm_a == 0:
-        raise ValueError("constraint row is zero: problem infeasible")
-    q = (bgh + bgh.T) / 2
-    eigval, eigvec = np.linalg.eigh(q)
-    q = (eigvec * np.clip(eigval, 0.0, None)) @ eigvec.T
-    phi0 = a_row / norm_a**2
-    z = scipy.linalg.null_space(a_row[None, :])
-    if z.size:
-        u, *_ = np.linalg.lstsq(z.T @ q @ z, -z.T @ (q @ phi0), rcond=None)
-        phi = phi0 + z @ u
-    else:
-        phi = phi0
-    return WeightVector(phi, ("extended",), float(phi @ q @ phi))
 
 
 def iterative_refinement(

@@ -3,12 +3,9 @@
     (Ax)(t) = int_0^t k(t-s) x(s) ds + nu * int_0^t x(t-s) x(s) ds
 
 with kernel k and a small nonlinearity weight nu. Also provides the
-discrete forward map at the measurement nodes t_i, the linearization
-dA and its discrete adjoint.
-
-At the measurement nodes, A and dA are quadrature-weighted matrices
-over nodes x grid; the scalar apply_A and apply_dA evaluate the same
-rule one point at a time and serve as their reference.
+discrete forward map at the measurement nodes t_i and the linearization
+dA. At the measurement nodes, A and dA are quadrature-weighted matrices
+over nodes x grid, and the adjoint of dA is the transpose of its matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# quad_weighted_integral is not called here; bench/tracing.py patches this name.
 from .grid import SampledFunction, UniformGrid, quad_weighted_integral
 
 
@@ -39,16 +37,10 @@ class DiscreteForwardMap:
     """Point evaluation of Ax at the measurement nodes t_i = i/N, i=1..N."""
 
     op: QuadraticVolterraOperator
-    nodes: np.ndarray = field(default=None, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = self.nodes
-        if nodes is None:
-            nodes = self.op.grid.nodes[1:]
-        nodes = np.asarray(nodes, dtype=float)
-        if np.any(np.diff(nodes) <= 0) or nodes[0] <= 0 or nodes[-1] > 1:
-            raise ValueError("measurement nodes must be strictly increasing in (0,1]")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", self.op.grid.nodes[1:])
 
     @property
     def lags(self) -> np.ndarray:
@@ -82,13 +74,6 @@ def _weighted_kernel(
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
     """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i)."""
     return _weighted_kernel(fmap, x0, 2 * fmap.op.nu)
-
-
-def apply_A(op: QuadraticVolterraOperator, x: SampledFunction, t: float) -> float:
-    """(Ax)(t); kernel values at non-node arguments are linearly interpolated."""
-    s = op.grid.nodes
-    integrand = op.kernel(t - s) * x.values + op.nu * x(t - s) * x.values
-    return quad_weighted_integral(SampledFunction(op.grid, integrand), 0.0, t)
 
 
 def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
@@ -127,39 +112,8 @@ def forward_data_exact(
     return out
 
 
-def apply_dA(
-    op: QuadraticVolterraOperator,
-    x: SampledFunction,
-    f: SampledFunction,
-    t: float,
-) -> float:
-    """Linearization of A at x applied to f, evaluated at t:
-
-    int_0^t k(t-s) f(s) ds + 2*nu * int_0^t x(t-s) f(s) ds
-    """
-    s = op.grid.nodes
-    integrand = op.kernel(t - s) * f.values + 2 * op.nu * x(t - s) * f.values
-    return quad_weighted_integral(SampledFunction(op.grid, integrand), 0.0, t)
-
-
 def forward_dA(
     fmap: DiscreteForwardMap, x: SampledFunction, f: SampledFunction
 ) -> np.ndarray:
     """Vector [dA(x)f (t_i)] over the measurement nodes."""
     return linearization_matrix(fmap, x) @ f.values
-
-
-def apply_dA_adjoint(
-    fmap: DiscreteForwardMap, x: SampledFunction, w: np.ndarray
-) -> SampledFunction:
-    """Adjoint of the discrete linearization applied to a weight vector w:
-
-    s -> sum_i w_i [k(t_i - s) + 2*nu*x(t_i - s)] * 1{s <= t_i}
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != fmap.nodes.shape:
-        raise ValueError(f"expected {fmap.nodes.size} weights, got {w.size}")
-    op = fmap.op
-    lags = fmap.lags
-    kappa = np.where(lags >= 0, op.kernel(lags) + 2 * op.nu * x(lags), 0.0)
-    return SampledFunction(op.grid, w @ kappa)

@@ -2,18 +2,14 @@ import math
 
 import pytest
 
-from bgrecon.hadamard import (
-    HadamardInstance,
-    amplification_table,
-    amplification_table_to_csv,
-    phi_k,
-    u_k,
-)
+from bgrecon.hadamard import amplification_table, amplification_table_to_csv, phi_k, u_k
 
 
 def test_instance_rejects_nonpositive_k():
-    with pytest.raises(ValueError):
-        HadamardInstance(0)
+    with pytest.raises(ValueError, match="positive integer, got 0"):
+        phi_k(0, 0.5)
+    with pytest.raises(ValueError, match="positive integer, got 0"):
+        u_k(0, 0.5, 0.5)
     with pytest.raises(ValueError):
         phi_k(-1, 0.5)
 

@@ -10,10 +10,8 @@ from bgrecon.solver import (
     NearSingularSystemError,
     WeightVector,
     assemble_adjoint_system,
-    classical_bg_weights,
     constraint_row,
     error_budget,
-    extended_bg_weights,
     iterative_refinement,
     reconstruct_profile,
     reconstruct_value,
@@ -113,11 +111,11 @@ def test_solve_weights_warns_on_rank_deficiency():
 
 def test_weight_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
-        WeightVector(np.array([1.0, np.inf]), ("moments",))
+        WeightVector(np.array([1.0, np.inf]))
 
 
 def test_reconstruct_value_is_dot_product():
-    phi = WeightVector(np.array([1.0, -2.0, 0.5]), ("moments",))
+    phi = WeightVector(np.array([1.0, -2.0, 0.5]))
     assert reconstruct_value(phi, np.array([2.0, 1.0, 4.0])) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         reconstruct_value(phi, np.zeros(2))
@@ -149,80 +147,6 @@ def test_profile_value_independent_of_other_targets(targets, cut, nu):
     parts = reconstruct_profile(op, basis, op.kernel, y, targets[:cut], fmap)
     parts += reconstruct_profile(op, basis, op.kernel, y, targets[cut:], fmap)
     assert whole == parts
-
-
-def test_classical_single_kernel_forced_by_constraint():
-    grid = UniformGrid(30)
-    k1 = SampledFunction.from_callable(grid, lambda t: 2.0)
-    phi = classical_bg_weights([k1], 0.5)
-    assert phi.coefficients[0] == pytest.approx(0.5, abs=1e-10)
-
-
-def test_classical_two_disjoint_kernels_concentrate_near_target():
-    grid = UniformGrid(200)
-    k1 = SampledFunction.from_callable(grid, lambda t: 1.0 if t <= 0.4 else 0.0)
-    k2 = SampledFunction.from_callable(grid, lambda t: 1.0 if t >= 0.6 else 0.0)
-    t0 = 0.2
-    phi = classical_bg_weights([k1, k2], t0)
-    ints = [quad_weighted_integral(k, 0.0, 1.0) for k in (k1, k2)]
-    assert abs(phi.coefficients[0] * ints[0]) > abs(phi.coefficients[1] * ints[1])
-    # closed-form 2x2 oracle: phi = G^-1 k / (k^T G^-1 k) with diagonal G
-    s = grid.nodes
-    g11 = quad_weighted_integral(
-        SampledFunction(grid, (t0 - s) ** 2 * k1.values**2), 0.0, 1.0
-    )
-    g22 = quad_weighted_integral(
-        SampledFunction(grid, (t0 - s) ** 2 * k2.values**2), 0.0, 1.0
-    )
-    c = np.array([ints[0] / g11, ints[1] / g22])
-    expected = c / (c @ ints)
-    np.testing.assert_allclose(phi.coefficients, expected, rtol=1e-8)
-
-
-def test_classical_unit_integral_constraint_random_kernels():
-    rng = np.random.default_rng(5)
-    grid = UniformGrid(50)
-    kernels = [
-        SampledFunction(grid, rng.uniform(0.5, 1.5, grid.n + 1)) for _ in range(4)
-    ]
-    phi = classical_bg_weights(kernels, 0.37)
-    total = sum(
-        c * quad_weighted_integral(k, 0.0, 1.0)
-        for c, k in zip(phi.coefficients, kernels)
-    )
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_classical_rejects_empty_kernel_list():
-    with pytest.raises(ValueError):
-        classical_bg_weights([], 0.5)
-
-
-def test_extended_weights_satisfy_constraint_and_minimize():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((6, 6))
-    bgh = m @ m.T
-    a_row = rng.standard_normal(6)
-    phi = extended_bg_weights(bgh, a_row)
-    assert a_row @ phi.coefficients == pytest.approx(1.0, abs=1e-10)
-    # any feasible perturbation within the constraint cannot do better
-    q = (bgh + bgh.T) / 2
-    base = phi.coefficients @ q @ phi.coefficients
-    z = np.linalg.svd(a_row[None, :])[2][1:]
-    for d in z:
-        trial = phi.coefficients + 0.01 * d
-        assert trial @ q @ trial >= base - 1e-10
-
-
-def test_extended_weights_zero_quadratic_form_min_norm():
-    a_row = np.array([3.0, 4.0])
-    phi = extended_bg_weights(np.zeros((2, 2)), a_row)
-    np.testing.assert_allclose(phi.coefficients, a_row / 25.0, atol=1e-12)
-
-
-def test_extended_weights_zero_constraint_rejected():
-    with pytest.raises(ValueError):
-        extended_bg_weights(np.eye(3), np.zeros(3))
 
 
 def test_error_budget_triangle_identity():
@@ -278,5 +202,5 @@ def test_iterative_refinement_stationary_for_linear_case():
     x = SampledFunction.from_callable(grid, lambda t: 2 * t)
     y = forward_data(fmap, x)
     profiles = iterative_refinement(op, basis, op.kernel, y, [0.5], 2, fmap)
-    if len(profiles) == 2:
-        assert profiles[0][0][1] == pytest.approx(profiles[1][0][1], abs=1e-7)
+    assert len(profiles) == 2
+    assert profiles[0][0][1] == pytest.approx(profiles[1][0][1], abs=1e-7)

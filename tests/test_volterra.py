@@ -4,18 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrecon.cli import x_a, x_b, x_c, x_sq
-from bgrecon.grid import SampledFunction, UniformGrid
+from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.volterra import (
     DiscreteForwardMap,
     QuadraticVolterraOperator,
-    apply_A,
-    apply_dA,
-    apply_dA_adjoint,
     forward_data,
     forward_data_exact,
     forward_dA,
     linearization_matrix,
 )
+
+
+def _apply_A(op, x, t):
+    """Reference (Ax)(t), one point at a time: the grid trapezoid rule of
+    quad_weighted_integral, kernel values at non-node arguments linearly
+    interpolated."""
+    s = op.grid.nodes
+    integrand = op.kernel(t - s) * x.values + op.nu * x(t - s) * x.values
+    return quad_weighted_integral(SampledFunction(op.grid, integrand), 0.0, t)
+
+
+def _apply_dA(op, x, f, t):
+    """Reference dA(x)f (t) = int_0^t [k(t-s) + 2 nu x(t-s)] f(s) ds by the
+    same rule."""
+    s = op.grid.nodes
+    integrand = op.kernel(t - s) * f.values + 2 * op.nu * x(t - s) * f.values
+    return quad_weighted_integral(SampledFunction(op.grid, integrand), 0.0, t)
 
 
 def make_op(n=20, nu=0.0):
@@ -35,21 +49,13 @@ def test_forward_map_default_nodes():
     np.testing.assert_allclose(fmap.nodes, np.arange(1, 11) / 10)
 
 
-def test_forward_map_rejects_bad_nodes():
-    op = make_op(10)
-    with pytest.raises(ValueError):
-        DiscreteForwardMap(op, nodes=np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        DiscreteForwardMap(op, nodes=np.array([0.5, 0.4]))
-
-
 def test_linear_part_exact_for_constant_input():
     # int_0^t (t-s) ds = t^2/2; the integrand is linear in s, so the
     # trapezoid rule on grid nodes is exact at grid-node evaluation points
     op = make_op(16)
     x = SampledFunction.from_callable(op.grid, lambda t: 1.0)
     for t in (0.25, 0.5, 1.0):
-        assert apply_A(op, x, t) == pytest.approx(t**2 / 2, abs=1e-14)
+        assert _apply_A(op, x, t) == pytest.approx(t**2 / 2, abs=1e-14)
 
 
 def test_quadratic_part_closed_form():
@@ -58,7 +64,7 @@ def test_quadratic_part_closed_form():
     x = SampledFunction.from_callable(op.grid, lambda t: t)
     for t in (0.5, 1.0):
         expected = t**3 / 6 + 0.7 * t**3 / 6
-        assert apply_A(op, x, t) == pytest.approx(expected, rel=5e-4)
+        assert _apply_A(op, x, t) == pytest.approx(expected, rel=5e-4)
 
 
 def test_forward_data_matches_pointwise_apply():
@@ -67,7 +73,7 @@ def test_forward_data_matches_pointwise_apply():
     fmap = DiscreteForwardMap(op)
     y = forward_data(fmap, x)
     for i, t in enumerate(fmap.nodes):
-        assert y[i] == pytest.approx(apply_A(op, x, t))
+        assert y[i] == pytest.approx(_apply_A(op, x, t))
 
 
 def test_forward_data_exact_against_closed_form():
@@ -174,63 +180,17 @@ def test_linearization_reduces_to_operator_for_nu_zero():
     )
 
 
-def test_adjoint_formula_values():
-    op = make_op(8, nu=0.25)
-    x = SampledFunction.from_callable(op.grid, lambda t: 1 - t)
-    fmap = DiscreteForwardMap(op)
-    w = np.linspace(1.0, 2.0, fmap.nodes.size)
-    adj = apply_dA_adjoint(fmap, x, w)
-    s = op.grid.nodes
-    expected = np.zeros_like(s)
-    for wi, ti in zip(w, fmap.nodes):
-        contrib = wi * (op.kernel(ti - s) + 2 * 0.25 * x(ti - s))
-        expected += np.where(s <= ti, contrib, 0.0)
-    np.testing.assert_allclose(adj.values, expected, atol=1e-13)
-
-
-def test_adjoint_rejects_wrong_length():
-    op = make_op(8)
-    fmap = DiscreteForwardMap(op)
-    x = SampledFunction.from_callable(op.grid, lambda t: t)
-    with pytest.raises(ValueError):
-        apply_dA_adjoint(fmap, x, np.ones(5))
-
-
-def test_discrete_duality_with_shared_quadrature():
-    # <w, dA(x) f> over data indices equals the grid quadrature of
-    # f times the adjoint function when f vanishes where the trapezoid
-    # half-weights differ, here checked loosely for a smooth f
-    op = make_op(64, nu=0.1)
-    x0 = SampledFunction.from_callable(op.grid, lambda t: t)
-    f = SampledFunction.from_callable(op.grid, lambda t: t**2 * (1 - t))
-    fmap = DiscreteForwardMap(op)
-    w = np.sin(1 + fmap.nodes)
-    lhs = w @ forward_dA(fmap, x0, f)
-    adj = apply_dA_adjoint(fmap, x0, w)
-    h = op.grid.h
-    weights = np.full(op.grid.n + 1, h)
-    weights[0] = weights[-1] = h / 2
-    rhs = np.sum(weights * adj.values * f.values)
-    assert lhs == pytest.approx(rhs, rel=5e-3)
-
-
 @st.composite
 def linearizations(draw):
-    """Operator with a random sampled kernel, its forward map on the grid
-    nodes or on random off-grid nodes, and sampled functions x and f."""
+    """Operator with a random sampled kernel, its forward map and sampled
+    functions x and f."""
     n = draw(st.integers(1, 40))
     grid = UniformGrid(n)
     samples = st.lists(
         st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1
     ).map(lambda v: SampledFunction(grid, np.asarray(v)))
     op = QuadraticVolterraOperator(draw(samples), draw(st.floats(0.0, 1.0)))
-    nodes = draw(
-        st.none()
-        | st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=20, unique=True).map(
-            sorted
-        )
-    )
-    return DiscreteForwardMap(op, nodes=nodes), draw(samples), draw(samples)
+    return DiscreteForwardMap(op), draw(samples), draw(samples)
 
 
 @given(linearizations())
@@ -239,13 +199,13 @@ def test_matrix_path_matches_scalar_reference(case):
     op = fmap.op
     np.testing.assert_allclose(
         forward_data(fmap, x),
-        [apply_A(op, x, t) for t in fmap.nodes],
+        [_apply_A(op, x, t) for t in fmap.nodes],
         rtol=0,
         atol=1e-13,
     )
     np.testing.assert_allclose(
         forward_dA(fmap, x, f),
-        [apply_dA(op, x, f, t) for t in fmap.nodes],
+        [_apply_dA(op, x, f, t) for t in fmap.nodes],
         rtol=0,
         atol=1e-13,
     )
