@@ -88,7 +88,7 @@ class AnnulusGrid:
         return self.n_theta if segment == GAMMA_I else self.n_half + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTrace:
     grid: AnnulusGrid
     segment: str
@@ -130,53 +130,26 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
 
-@dataclass(frozen=True)
-class MixedBVPSpec:
-    """One boundary condition per segment: (kind, trace values)."""
+class AnnulusBVPSolver:
+    """Factorized finite-difference operator for one boundary pattern:
+    kinds gives the condition on (Gamma_r, Gamma_l, Gamma_i), each
+    DIRICHLET or NEUMANN, and at least one must be DIRICHLET. The data of
+    each solve follow that pattern."""
 
-    gamma_r: tuple[str, np.ndarray]
-    gamma_l: tuple[str, np.ndarray]
-    gamma_i: tuple[str, np.ndarray]
-
-    def __post_init__(self):
-        kinds = [self.gamma_r[0], self.gamma_l[0], self.gamma_i[0]]
+    def __init__(self, grid: AnnulusGrid, kinds: tuple[str, str, str]):
+        if len(kinds) != len(SEGMENTS):
+            raise ValueError(f"need one condition kind per segment, got {kinds!r}")
         for kind in kinds:
             if kind not in (DIRICHLET, NEUMANN):
                 raise ValueError(f"unknown condition kind {kind!r}")
         if DIRICHLET not in kinds:
             raise ValueError("all-Neumann problem is rank deficient")
-
-    def condition(self, segment: str) -> tuple[str, np.ndarray]:
-        return getattr(self, segment)
-
-
-class AnnulusBVPSolver:
-    """Factorized finite-difference operator for one Dirichlet/Neumann
-    pattern; boundary data can vary between solves."""
-
-    def __init__(self, grid: AnnulusGrid, kinds: dict[str, str]):
-        if DIRICHLET not in kinds.values():
-            raise ValueError("all-Neumann problem is rank deficient")
         self.grid = grid
-        self.kinds = dict(kinds)
+        self.kinds = kinds
         self._build()
 
     def _idx(self, k: int, m: int) -> int:
         return k * self.grid.n_theta + m % self.grid.n_theta
-
-    def _outer_segment_of(self, m: int) -> str:
-        """Which outer segment owns angular index m (Dirichlet wins at the
-        shared contact nodes)."""
-        g = self.grid
-        on_r = m <= g.n_half
-        on_l = m == 0 or m >= g.n_half
-        if on_r and on_l:  # contact node
-            if self.kinds[GAMMA_R] == DIRICHLET:
-                return GAMMA_R
-            if self.kinds[GAMMA_L] == DIRICHLET:
-                return GAMMA_L
-            return GAMMA_R
-        return GAMMA_R if on_r else GAMMA_L
 
     def _build(self):
         g = self.grid
@@ -206,6 +179,16 @@ class AnnulusBVPSolver:
                 add(row, self._idx(k, m + 1), 1 / (dt**2 * r**2))
                 add(row, self._idx(k, m - 1), 1 / (dt**2 * r**2))
 
+        # the outer segment owning each angular node; at the two contact
+        # nodes, shared by both halves, Dirichlet wins, and Gamma_r when
+        # both halves have the same kind
+        kind_r, kind_l, kind_i = self.kinds
+        owners = np.where(np.arange(n_t) <= g.n_half, GAMMA_R, GAMMA_L)
+        if kind_r == NEUMANN and kind_l == DIRICHLET:
+            owners[[0, g.n_half]] = GAMMA_L
+        outer_kinds = np.where(owners == GAMMA_R, kind_r, kind_l)
+        inner_kinds = [kind_i] * n_t
+
         # Neumann rows balance the half control volume at the rim: boundary
         # flux r*g against the radial flux through the half-node radius
         # r_h and the angular fluxes, normalized so the right-hand side is
@@ -213,9 +196,6 @@ class AnnulusBVPSolver:
         # outward normal is +r; on the inner circle (k = 0) it is -r, so a
         # prescribed u_nu = g means u_r = -g at the hole.
         r_out, r_in = radii[-1], radii[0]
-        owners = np.array([self._outer_segment_of(m) for m in range(n_t)])
-        outer_kinds = [self.kinds[owner] for owner in owners]
-        inner_kinds = [self.kinds[GAMMA_I]] * n_t
         for k_b, k_n, r_b, r_h, ring_kinds in (
             (n_r - 1, n_r - 2, r_out, r_out - dr / 2, outer_kinds),
             (0, 1, r_in, r_in + dr / 2, inner_kinds),
@@ -235,31 +215,38 @@ class AnnulusBVPSolver:
             sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
         )
         self._lu = spla.splu(self._matrix)
-        # rim scatter for _rhs: per outer segment, the flat indices of the
-        # nodes it owns and their positions in its trace
+        # rim scatter for _rhs, in SEGMENTS order: the flat indices of the
+        # nodes each segment owns and their positions in its data. The
+        # inner circle is ring k = 0, flat indices 0 .. n_theta - 1.
         self._scatter = []
         for segment in (GAMMA_R, GAMMA_L):
             m_idx = g.segment_angular_indices(segment)
             pos = np.flatnonzero(owners[m_idx] == segment)
             self._scatter.append((segment, (n_r - 1) * n_t + m_idx[pos], pos))
+        self._scatter.append((GAMMA_I, np.arange(n_t), np.arange(n_t)))
 
-    def _rhs(self, spec: MixedBVPSpec) -> np.ndarray:
+    def _rhs(self, data) -> np.ndarray:
+        """Right-hand side for one array (or None) per segment, in
+        SEGMENTS order."""
         g = self.grid
         rhs = np.zeros(g.n_r * g.n_theta)
-        for segment, rows, pos in self._scatter:
-            rhs[rows] = spec.condition(segment)[1][pos]
-        # inner circle: ring k = 0 holds flat indices 0 .. n_theta - 1
-        rhs[: g.n_theta] = spec.condition(GAMMA_I)[1]
+        for (segment, rows, pos), values in zip(self._scatter, data):
+            if values is None:
+                continue
+            expected = g.segment_size(segment)
+            if np.shape(values) != (expected,):
+                raise ValueError(
+                    f"{segment} data needs {expected} values, got {np.shape(values)}"
+                )
+            rhs[rows] = np.asarray(values, dtype=float)[pos]
         return rhs
 
-    def solve(self, spec: MixedBVPSpec) -> np.ndarray:
-        for segment in SEGMENTS:
-            kind, _ = spec.condition(segment)
-            if kind != self.kinds[segment]:
-                raise ValueError(
-                    f"spec kind for {segment} ({kind}) does not match solver pattern"
-                )
-        rhs = self._rhs(spec)
+    def solve(self, gamma_r=None, gamma_l=None, gamma_i=None) -> np.ndarray:
+        """Field u on the grid, shape (n_r, n_theta), for one data array
+        per segment. Each array holds Dirichlet values or Neumann fluxes
+        u_nu, as the solver's pattern says for that segment, at the
+        segment's nodes in arc order; an omitted segment has zero data."""
+        rhs = self._rhs((gamma_r, gamma_l, gamma_i))
         u = self._lu.solve(rhs)
         tol = 1e-10 * (1.0 + np.max(np.abs(rhs)))
         residual = self._matrix @ u - rhs
@@ -302,29 +289,7 @@ def pattern_solver(grid: AnnulusGrid, kinds: tuple[str, str, str]) -> AnnulusBVP
     """The factorized solver for a grid and a boundary pattern (kinds in
     SEGMENTS order). The matrix does not depend on the data, so each
     (grid, pattern) pair is factorized once per process and shared."""
-    return AnnulusBVPSolver(grid, dict(zip(SEGMENTS, kinds)))
-
-
-def _zero_trace(grid: AnnulusGrid, segment: str) -> np.ndarray:
-    return np.zeros(grid.segment_size(segment))
-
-
-def make_spec(
-    grid: AnnulusGrid,
-    gamma_r: tuple[str, np.ndarray] | None = None,
-    gamma_l: tuple[str, np.ndarray] | None = None,
-    gamma_i: tuple[str, np.ndarray] | None = None,
-) -> MixedBVPSpec:
-    """Spec with zero-Neumann defaults on unspecified segments."""
-    return MixedBVPSpec(
-        gamma_r or (NEUMANN, _zero_trace(grid, GAMMA_R)),
-        gamma_l or (NEUMANN, _zero_trace(grid, GAMMA_L)),
-        gamma_i or (NEUMANN, _zero_trace(grid, GAMMA_I)),
-    )
-
-
-def _outer_half_values(grid: AnnulusGrid, field_outer: np.ndarray, segment: str):
-    return field_outer[grid.segment_angular_indices(segment)]
+    return AnnulusBVPSolver(grid, kinds)
 
 
 def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
@@ -332,9 +297,8 @@ def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     Gamma_r and zero Neumann data on Gamma_l and Gamma_i."""
     if phi.segment != GAMMA_R:
         raise ValueError("phi must be a Gamma_r trace")
-    spec = make_spec(grid, gamma_r=(DIRICHLET, phi.values))
-    w = pattern_solver(grid, DIRICHLET_R).solve(spec)
-    return BoundaryTrace(grid, GAMMA_L, _outer_half_values(grid, w[-1], GAMMA_L))
+    w = pattern_solver(grid, DIRICHLET_R).solve(gamma_r=phi.values)
+    return BoundaryTrace(grid, GAMMA_L, w[-1][grid.segment_angular_indices(GAMMA_L)])
 
 
 def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
@@ -343,14 +307,8 @@ def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
     if psi.segment != GAMMA_L:
         raise ValueError("psi must be a Gamma_l trace")
     solver = pattern_solver(grid, DIRICHLET_R)
-    spec = make_spec(
-        grid,
-        gamma_r=(DIRICHLET, _zero_trace(grid, GAMMA_R)),
-        gamma_l=(NEUMANN, psi.values),
-    )
-    v = solver.solve(spec)
-    vn = solver.outer_normal_derivative(v)
-    return BoundaryTrace(grid, GAMMA_R, _outer_half_values(grid, vn, GAMMA_R))
+    vn = solver.outer_normal_derivative(solver.solve(gamma_l=psi.values))
+    return BoundaryTrace(grid, GAMMA_R, vn[grid.segment_angular_indices(GAMMA_R)])
 
 
 def trace_inner(u: BoundaryTrace, v: BoundaryTrace) -> float:
@@ -420,27 +378,23 @@ def flux_to_trace_svd(grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray, np.nda
 SENTINEL_RCOND = 1e-8
 
 
-def solve_sentinel_equation(
-    grid: AnnulusGrid,
-    mu: BoundaryTrace,
-    rcond: float = SENTINEL_RCOND,
-) -> BoundaryTrace:
+def solve_sentinel_equation(grid: AnnulusGrid, mu: BoundaryTrace) -> BoundaryTrace:
     """Flux psi on Gamma_l with -A_sharp(psi) = mu, by truncated-SVD
     least squares on the assembled flux-to-trace matrix.
 
     The matrix is numerically singular (severely ill-posed problem plus
     two structurally zero contact columns), so singular values below
-    rcond times the largest are discarded; the returned psi is the
+    SENTINEL_RCOND times the largest are discarded; the returned psi is the
     minimum-norm least-squares solution of the retained part."""
     if mu.segment != GAMMA_R:
         raise ValueError("mu must be a Gamma_r trace")
     u, s, vt = flux_to_trace_svd(grid)
-    keep = s > rcond * s[0]
+    keep = s > SENTINEL_RCOND * s[0]
     coeffs = (u[:, keep].T @ (-mu.values)) / s[keep]
     return BoundaryTrace(grid, GAMMA_L, vt[keep].T @ coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KozlovMazyaResult:
     psi: BoundaryTrace
     residuals: np.ndarray
@@ -481,12 +435,7 @@ def kozlov_mazya_solve(
     converged = False
     for k in range(max_iter + 1):
         # step (i): Neumann data eta on Gamma_l, v = 0 on Gamma_r
-        spec_i = make_spec(
-            grid,
-            gamma_r=(DIRICHLET, _zero_trace(grid, GAMMA_R)),
-            gamma_l=(NEUMANN, eta),
-        )
-        v = solver_n.solve(spec_i)
+        v = solver_n.solve(gamma_l=eta)
         vn_outer = solver_n.outer_normal_derivative(v)
         residual = float(np.max(np.abs(vn_outer[gr_idx] + mu.values)))
         residuals.append(residual)
@@ -501,12 +450,7 @@ def kozlov_mazya_solve(
             break
         # step (ii): Dirichlet data g_k on Gamma_l, Neumann -mu on Gamma_r
         g_k = v[-1][gl_idx]
-        spec_ii = make_spec(
-            grid,
-            gamma_r=(NEUMANN, -mu.values),
-            gamma_l=(DIRICHLET, g_k),
-        )
-        u = solver_d.solve(spec_ii)
+        u = solver_d.solve(gamma_r=-mu.values, gamma_l=g_k)
         eta = solver_d.outer_normal_derivative(u)[gl_idx]
     return KozlovMazyaResult(
         BoundaryTrace(grid, GAMMA_L, eta),

@@ -26,7 +26,7 @@ class UniformGrid:
         return np.arange(self.n + 1) / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Values of a real function at the nodes of a uniform grid."""
 

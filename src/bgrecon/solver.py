@@ -37,7 +37,7 @@ class NearSingularSystemError(np.linalg.LinAlgError):
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     coefficients: np.ndarray = field(repr=False)
     residual: float = 0.0
@@ -49,9 +49,11 @@ class WeightVector:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """(N+1) x N matrix: N adjoint rows (one per spline) + constraint row."""
+    """(N+1) x N matrix: N adjoint rows (one per spline) + constraint row.
+    rhs is (N+1,) for one target's moments, or (N+1, T) with one column
+    per target; its last row is the constraint's 0."""
 
     matrix: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -91,8 +93,10 @@ def assemble_adjoint_system(
     if fmap is None:
         fmap = DiscreteForwardMap(op)
     mu_moments = np.asarray(mu_moments, dtype=float)
-    if mu_moments.shape != (basis.size,):
-        raise ValueError(f"expected {basis.size} moments, got {mu_moments.size}")
+    if mu_moments.ndim not in (1, 2) or mu_moments.shape[0] != basis.size:
+        raise ValueError(
+            f"expected {basis.size} moments per target, got shape {mu_moments.shape}"
+        )
     block = _adjoint_block(basis, x0, fmap)
     matrix = np.vstack([block, constraint_row(op, x0, fmap)])
     condition = float(np.linalg.cond(block))
@@ -100,7 +104,7 @@ def assemble_adjoint_system(
         raise NearSingularSystemError(
             f"adjoint block condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    rhs = np.concatenate([mu_moments, [0.0]])
+    rhs = np.concatenate([mu_moments, np.zeros((1, *mu_moments.shape[1:]))])
     return AssembledSystem(matrix, rhs, condition)
 
 
@@ -150,13 +154,12 @@ def reconstruct_profile(
     if fmap is None:
         fmap = DiscreteForwardMap(op)
     moments = delta_moments(basis, np.asarray(targets, dtype=float))
-    system = assemble_adjoint_system(op, basis, x0, moments[:, 0], fmap)
-    rhs = np.vstack([moments, np.zeros((1, len(targets)))])
+    system = assemble_adjoint_system(op, basis, x0, moments, fmap)
     data_row = np.asarray(y_data, dtype=float) @ np.linalg.pinv(system.matrix)
     # phi_t . y = (y^T pinv) rhs_t. cumsum adds the rows strictly in
     # order (np.sum and matmul group them by shape), so a target's value
     # does not depend on the other targets in the call.
-    values = np.cumsum(data_row[:, None] * rhs, axis=0)[-1]
+    values = np.cumsum(data_row[:, None] * system.rhs, axis=0)[-1]
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("reconstructed values are not finite")
     return [(t0, float(v)) for t0, v in zip(targets, values)]

@@ -18,7 +18,7 @@ import numpy as np
 from .grid import SampledFunction, UniformGrid, quad_weighted_integral
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticVolterraOperator:
     kernel: SampledFunction
     nu: float
@@ -32,7 +32,7 @@ class QuadraticVolterraOperator:
         return self.kernel.grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteForwardMap:
     """Point evaluation of Ax at the measurement nodes t_i = i/N, i=1..N."""
 

@@ -8,10 +8,7 @@ from bgrecon.cli import table1_rows
 
 
 def dirichlet_solver(grid):
-    return an.AnnulusBVPSolver(
-        grid,
-        {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.DIRICHLET, an.GAMMA_I: an.NEUMANN},
-    )
+    return an.AnnulusBVPSolver(grid, (an.DIRICHLET, an.DIRICHLET, an.NEUMANN))
 
 
 def test_grid_validation():
@@ -59,43 +56,60 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_all_neumann_spec_rejected():
     g = an.AnnulusGrid(9, 16)
-    z_half = np.zeros(g.n_half + 1)
-    z_full = np.zeros(g.n_theta)
     with pytest.raises(ValueError):
-        an.MixedBVPSpec(
-            (an.NEUMANN, z_half), (an.NEUMANN, z_half), (an.NEUMANN, z_full)
-        )
-    with pytest.raises(ValueError):
-        an.AnnulusBVPSolver(
-            g, {an.GAMMA_R: an.NEUMANN, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-        )
+        an.AnnulusBVPSolver(g, (an.NEUMANN, an.NEUMANN, an.NEUMANN))
+
+
+def test_solver_rejects_unknown_kind():
+    g = an.AnnulusGrid(9, 16)
+    with pytest.raises(ValueError, match="robin"):
+        an.AnnulusBVPSolver(g, (an.DIRICHLET, "robin", an.NEUMANN))
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(an.DIRICHLET, an.NEUMANN), (an.DIRICHLET, an.NEUMANN, an.NEUMANN, an.NEUMANN)],
+)
+def test_solver_rejects_wrong_kinds_length(kinds):
+    with pytest.raises(ValueError, match="one condition kind per segment"):
+        an.AnnulusBVPSolver(an.AnnulusGrid(9, 16), kinds)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"gamma_i": np.zeros(1)},
+        {"gamma_r": np.zeros(20)},
+        {"gamma_l": np.zeros(8)},
+        {"gamma_r": np.zeros((9, 1))},
+    ],
+)
+def test_solve_rejects_wrong_length_data(data):
+    # 9 x 16: 9 nodes on each outer half, 16 on the hole
+    solver = an.pattern_solver(an.AnnulusGrid(9, 16), an.DIRICHLET_R)
+    with pytest.raises(ValueError, match="data needs"):
+        solver.solve(**data)
 
 
 def test_constant_dirichlet_data_gives_constant_field():
     g = an.AnnulusGrid(9, 32)
-    solver = an.AnnulusBVPSolver(
-        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-    )
-    u = solver.solve(an.make_spec(g, gamma_r=(an.DIRICHLET, np.full(g.n_half + 1, 2.5))))
+    solver = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
+    u = solver.solve(gamma_r=np.full(g.n_half + 1, 2.5))
     np.testing.assert_allclose(u, 2.5, atol=1e-8)
 
 
 def test_zero_data_gives_zero_field():
     g = an.AnnulusGrid(9, 16)
-    solver = an.AnnulusBVPSolver(
-        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-    )
-    u = solver.solve(an.make_spec(g, gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1))))
+    solver = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
+    u = solver.solve(gamma_r=np.zeros(g.n_half + 1))
     np.testing.assert_allclose(u, 0.0, atol=1e-12)
 
 
 def test_dirichlet_data_reproduced_at_nodes():
     g = an.AnnulusGrid(9, 32)
     vals = np.cos(g.arc_params)
-    solver = an.AnnulusBVPSolver(
-        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-    )
-    u = solver.solve(an.make_spec(g, gamma_r=(an.DIRICHLET, vals)))
+    solver = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
+    u = solver.solve(gamma_r=vals)
     np.testing.assert_allclose(
         u[-1][g.segment_angular_indices(an.GAMMA_R)], vals, atol=1e-12
     )
@@ -107,13 +121,12 @@ def harmonic_oracle_error(n_r, n_theta):
     g = an.AnnulusGrid(n_r, n_theta)
     solver = dirichlet_solver(g)
     exact = g.radii[:, None] * np.cos(g.thetas)[None, :]
-    spec = an.make_spec(
-        g,
-        gamma_r=(an.DIRICHLET, exact[-1][g.segment_angular_indices(an.GAMMA_R)]),
-        gamma_l=(an.DIRICHLET, exact[-1][g.segment_angular_indices(an.GAMMA_L)]),
-        gamma_i=(an.NEUMANN, -np.cos(g.thetas)),
+    u = solver.solve(
+        gamma_r=exact[-1][g.segment_angular_indices(an.GAMMA_R)],
+        gamma_l=exact[-1][g.segment_angular_indices(an.GAMMA_L)],
+        gamma_i=-np.cos(g.thetas),
     )
-    return float(np.max(np.abs(solver.solve(spec) - exact)))
+    return float(np.max(np.abs(u - exact)))
 
 
 def test_harmonic_oracle_second_order():
@@ -130,13 +143,12 @@ def test_log_radius_oracle_second_order():
         g = an.AnnulusGrid(n_r, n_theta)
         solver = dirichlet_solver(g)
         exact = np.log(g.radii)[:, None] * np.ones(g.n_theta)[None, :]
-        spec = an.make_spec(
-            g,
-            gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1)),
-            gamma_l=(an.DIRICHLET, np.zeros(g.n_half + 1)),
-            gamma_i=(an.NEUMANN, -np.full(g.n_theta, 1 / g.radii[0])),
+        u = solver.solve(
+            gamma_r=np.zeros(g.n_half + 1),
+            gamma_l=np.zeros(g.n_half + 1),
+            gamma_i=-np.full(g.n_theta, 1 / g.radii[0]),
         )
-        errs.append(np.max(np.abs(solver.solve(spec) - exact)))
+        errs.append(np.max(np.abs(u - exact)))
     for e0, e1 in zip(errs, errs[1:]):
         assert 1.6 <= np.log2(e0 / e1) <= 2.4
 
@@ -147,23 +159,11 @@ def test_discrete_maximum_principle():
     vals_r = rng.uniform(-1.0, 2.0, g.n_half + 1)
     vals_l = rng.uniform(-1.0, 2.0, g.n_half + 1)
     solver = dirichlet_solver(g)
-    u = solver.solve(
-        an.make_spec(g, gamma_r=(an.DIRICHLET, vals_r), gamma_l=(an.DIRICHLET, vals_l))
-    )
+    u = solver.solve(gamma_r=vals_r, gamma_l=vals_l)
     lo = min(vals_r.min(), vals_l.min())
     hi = max(vals_r.max(), vals_l.max())
     assert u.min() >= lo - 1e-8
     assert u.max() <= hi + 1e-8
-
-
-def test_solve_rejects_mismatched_spec():
-    g = an.AnnulusGrid(9, 16)
-    solver = an.AnnulusBVPSolver(
-        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-    )
-    spec = an.make_spec(g, gamma_l=(an.DIRICHLET, np.zeros(g.n_half + 1)))
-    with pytest.raises(ValueError):
-        solver.solve(spec)
 
 
 def test_trace_operators_are_linear():
@@ -362,7 +362,7 @@ def factorizations(monkeypatch):
     original = an.AnnulusBVPSolver.__init__
 
     def counting(self, grid, kinds):
-        calls.append((grid, tuple(kinds[seg] for seg in an.SEGMENTS)))
+        calls.append((grid, kinds))
         original(self, grid, kinds)
 
     monkeypatch.setattr(an.AnnulusBVPSolver, "__init__", counting)
@@ -392,38 +392,29 @@ def test_kozlov_mazya_factorizes_each_pattern_once(factorizations):
 def test_cached_trace_operators_match_a_fresh_solver():
     g = an.AnnulusGrid(17, 64)
     t = g.arc_params
-    fresh = an.AnnulusBVPSolver(
-        g, {an.GAMMA_R: an.DIRICHLET, an.GAMMA_L: an.NEUMANN, an.GAMMA_I: an.NEUMANN}
-    )
+    fresh = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
     cached = an.pattern_solver(g, an.DIRICHLET_R)
     assert cached is an.pattern_solver(an.AnnulusGrid(17, 64), an.DIRICHLET_R)
     assert cached is not fresh
     phi = np.sin(t) + t**2
-    spec = an.make_spec(g, gamma_r=(an.DIRICHLET, phi))
-    w = fresh.solve(spec)
-    np.testing.assert_array_equal(cached.solve(spec), w)
+    w = fresh.solve(gamma_r=phi)
+    np.testing.assert_array_equal(cached.solve(gamma_r=phi), w)
     np.testing.assert_array_equal(
         an.apply_A(g, an.BoundaryTrace(g, an.GAMMA_R, phi)).values,
         w[-1][g.segment_angular_indices(an.GAMMA_L)],
     )
     psi = np.cos(t) - 0.5
-    v = fresh.solve(
-        an.make_spec(
-            g,
-            gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1)),
-            gamma_l=(an.NEUMANN, psi),
-        )
-    )
+    v = fresh.solve(gamma_l=psi)
     np.testing.assert_array_equal(
         an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi)).values,
         fresh.outer_normal_derivative(v)[g.segment_angular_indices(an.GAMMA_R)],
     )
 
 
-def fresh_tsvd_psi(g, mu, rcond=an.SENTINEL_RCOND):
+def fresh_tsvd_psi(g, mu):
     """TSVD solve of -A_sharp(psi) = mu from an uncached SVD."""
     u, s, vt = np.linalg.svd(an.flux_to_trace_matrix(g))
-    keep = s > rcond * s[0]
+    keep = s > an.SENTINEL_RCOND * s[0]
     return vt[keep].T @ ((u[:, keep].T @ (-mu.values)) / s[keep])
 
 
@@ -435,11 +426,19 @@ def test_sentinel_psi_matches_an_uncached_tsvd(factorizations):
     again = an.solve_sentinel_equation(an.AnnulusGrid(17, 64), mu)
     np.testing.assert_array_equal(first.values, expected)
     np.testing.assert_array_equal(again.values, expected)
-    # rcond acts on the cached factors at call time
-    np.testing.assert_array_equal(
-        an.solve_sentinel_equation(g, mu, rcond=1e-3).values,
-        fresh_tsvd_psi(g, mu, rcond=1e-3),
-    )
+
+
+def test_flux_to_trace_matrix_matches_a_fresh_solver():
+    # column j: the Gamma_r normal derivative for a unit flux at node j of
+    # Gamma_l, with v = 0 on Gamma_r and zero flux on the hole
+    g = an.AnnulusGrid(17, 64)
+    fresh = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
+    gr_idx = g.segment_angular_indices(an.GAMMA_R)
+    columns = []
+    for unit in np.eye(g.n_half + 1):
+        v = fresh.solve(gamma_l=unit)
+        columns.append(fresh.outer_normal_derivative(v)[gr_idx])
+    np.testing.assert_array_equal(an.flux_to_trace_matrix(g), np.column_stack(columns))
 
 
 def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch):
@@ -448,9 +447,9 @@ def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch
     calls = []
     original = an.AnnulusBVPSolver.solve
 
-    def counting(self, spec):
-        calls.append(spec)
-        return original(self, spec)
+    def counting(self, **data):
+        calls.append(data)
+        return original(self, **data)
 
     monkeypatch.setattr(an.AnnulusBVPSolver, "solve", counting)
     an.solve_sentinel_equation(g, mu)
@@ -471,15 +470,17 @@ def test_cached_tsvd_factors_are_read_only(factorizations):
     assert an.flux_to_trace_matrix(g)[0, 0] != 1.0
 
 
-def rhs_by_node(solver, spec):
-    """Right-hand side written node by node, with Dirichlet owning the
-    two contact nodes (Gamma_r when both outer halves are Dirichlet or
-    both Neumann)."""
-    g, kinds = solver.grid, solver.kinds
+def rhs_by_node(solver, data):
+    """Right-hand side written node by node from one array per segment,
+    with Dirichlet owning the two contact nodes (Gamma_r when both outer
+    halves are Dirichlet or both Neumann)."""
+    g = solver.grid
+    kinds = dict(zip(an.SEGMENTS, solver.kinds))
+    traces = dict(zip(an.SEGMENTS, data))
     n_t = g.n_theta
     rhs = np.zeros(g.n_r * n_t)
     for segment in (an.GAMMA_R, an.GAMMA_L):
-        trace = spec.condition(segment)[1]
+        trace = traces[segment]
         for j, m in enumerate(g.segment_angular_indices(segment)):
             if m in (0, g.n_half):
                 if kinds[an.GAMMA_R] == an.DIRICHLET:
@@ -492,7 +493,7 @@ def rhs_by_node(solver, spec):
                 owner = an.GAMMA_R if m < g.n_half else an.GAMMA_L
             if owner == segment:
                 rhs[(g.n_r - 1) * n_t + m] = trace[j]
-    rhs[:n_t] = spec.condition(an.GAMMA_I)[1]
+    rhs[:n_t] = traces[an.GAMMA_I]
     return rhs
 
 
@@ -506,16 +507,11 @@ def rhs_by_node(solver, spec):
 )
 def test_rhs_scatter_matches_node_by_node(kinds):
     g = an.AnnulusGrid(9, 16)
-    solver = an.AnnulusBVPSolver(g, dict(zip(an.SEGMENTS, kinds)))
+    solver = an.AnnulusBVPSolver(g, kinds)
     rng = np.random.default_rng(5)
     # distinct values at the contact nodes on each half, so ownership shows
-    spec = an.MixedBVPSpec(
-        *(
-            (kind, rng.uniform(-1.0, 1.0, g.segment_size(seg)))
-            for seg, kind in zip(an.SEGMENTS, kinds)
-        )
-    )
-    np.testing.assert_array_equal(solver._rhs(spec), rhs_by_node(solver, spec))
+    data = tuple(rng.uniform(-1.0, 1.0, g.segment_size(seg)) for seg in an.SEGMENTS)
+    np.testing.assert_array_equal(solver._rhs(data), rhs_by_node(solver, data))
 
 
 def test_fine_grid_solve_refines_a_residual_above_tolerance():
@@ -524,14 +520,9 @@ def test_fine_grid_solve_refines_a_residual_above_tolerance():
     g = an.AnnulusGrid(65, 256)
     t = g.arc_params
     flux = 1.0 - 0.09746079213710429 * np.cos(t) + 0.023852225648510084 * np.sin(2 * t)
-    spec = an.make_spec(
-        g,
-        gamma_r=(an.DIRICHLET, np.zeros(g.n_half + 1)),
-        gamma_l=(an.NEUMANN, flux),
-    )
     solver = an.pattern_solver(g, an.DIRICHLET_R)
-    u = solver.solve(spec).ravel()
-    rhs = solver._rhs(spec)
+    u = solver.solve(gamma_l=flux).ravel()
+    rhs = solver._rhs((None, flux, None))
     assert np.max(np.abs(solver._matrix @ u - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
 
@@ -547,13 +538,13 @@ class _OffsetLU:
 
 def test_solve_refines_once_and_then_rejects():
     g = an.AnnulusGrid(9, 16)
-    spec = an.make_spec(g, gamma_r=(an.DIRICHLET, np.cos(g.arc_params)))
-    solver = an.AnnulusBVPSolver(g, dict(zip(an.SEGMENTS, an.DIRICHLET_R)))
-    expected = solver.solve(spec)
+    data = np.cos(g.arc_params)
+    solver = an.AnnulusBVPSolver(g, an.DIRICHLET_R)
+    expected = solver.solve(gamma_r=data)
     # an error of 1e-6 is 1e-12 after one refinement step
     solver._lu = _OffsetLU(solver._lu, 1e-6)
-    np.testing.assert_allclose(solver.solve(spec), expected, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(solver.solve(gamma_r=data), expected, rtol=0, atol=1e-10)
     # an error that one step cannot remove is still rejected
     solver._lu = _OffsetLU(solver._lu.lu, 0.5)
     with pytest.raises(RuntimeError):
-        solver.solve(spec)
+        solver.solve(gamma_r=data)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bgrecon import annulus
 from bgrecon.bspline import CubicBSplineBasis, delta_moments
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.solver import (
@@ -78,6 +79,23 @@ def test_assemble_rejects_wrong_moment_count():
     grid, basis, op, fmap = make_setup(6)
     with pytest.raises(ValueError):
         assemble_adjoint_system(op, basis, op.kernel, np.zeros(5), fmap)
+    with pytest.raises(ValueError):
+        assemble_adjoint_system(op, basis, op.kernel, np.zeros((6, 2, 1)), fmap)
+
+
+def test_assemble_takes_one_moment_column_per_target():
+    grid, basis, op, fmap = make_setup(8, nu=0.3)
+    targets = np.array([0.1, 0.5, 0.9])
+    system = assemble_adjoint_system(
+        op, basis, op.kernel, delta_moments(basis, targets), fmap
+    )
+    assert system.rhs.shape == (9, 3)
+    for column, t0 in zip(system.rhs.T, targets):
+        single = assemble_adjoint_system(
+            op, basis, op.kernel, delta_moments(basis, t0), fmap
+        )
+        np.testing.assert_array_equal(single.matrix, system.matrix)
+        np.testing.assert_array_equal(single.rhs, column)
 
 
 def test_solve_weights_consistent_square_subsystem():
@@ -204,3 +222,42 @@ def test_iterative_refinement_stationary_for_linear_case():
     profiles = iterative_refinement(op, basis, op.kernel, y, [0.5], 2, fmap)
     assert len(profiles) == 2
     assert profiles[0][0][1] == pytest.approx(profiles[1][0][1], abs=1e-7)
+
+
+def _annulus_trace():
+    g = annulus.AnnulusGrid(9, 16)
+    return annulus.BoundaryTrace(g, annulus.GAMMA_R, np.zeros(g.n_half + 1))
+
+
+_KERNEL = SampledFunction(UniformGrid(4), np.arange(5.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SampledFunction(UniformGrid(4), np.arange(5.0)),
+        lambda: QuadraticVolterraOperator(_KERNEL, 0.5),
+        lambda: DiscreteForwardMap(QuadraticVolterraOperator(_KERNEL, 0.5)),
+        _annulus_trace,
+        lambda: WeightVector(np.ones(3)),
+        lambda: AssembledSystem(np.eye(2), np.ones(2), 1.0),
+        lambda: annulus.KozlovMazyaResult(
+            _annulus_trace(), np.zeros(2), [], True, False
+        ),
+    ],
+    ids=[
+        "SampledFunction",
+        "QuadraticVolterraOperator",
+        "DiscreteForwardMap",
+        "BoundaryTrace",
+        "WeightVector",
+        "AssembledSystem",
+        "KozlovMazyaResult",
+    ],
+)
+def test_array_dataclasses_compare_by_identity(make):
+    # a generated __eq__ would compare the ndarray fields and raise
+    a, b = make(), make()
+    assert a == a
+    assert not a == b
+    hash(a)
