@@ -52,12 +52,6 @@ class SampledFunction:
         """Piecewise-linear interpolation; arguments are clamped to [0,1]."""
         return np.interp(t, self.grid.nodes, self.values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{t:.12g},{v:.12g}\n")
-
 
 def quad_weighted_integral(f: SampledFunction, a: float, b: float) -> float:
     """Integral of the piecewise-linear interpolant of f over [a,b].

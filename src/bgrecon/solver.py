@@ -6,9 +6,13 @@ The adjoint system has one equation per basis spline,
     sum_i <dA(x0)* e_i, S_j> phi_i = <mu, S_j>,   j = 0..N-1,
 
 plus one extra row enforcing <phi, A x0 - dA(x0) x0> = 0, giving an
-overdetermined (N+1) x N system solved in the least-squares sense.
-All inner products use the same grid trapezoid rule as the forward map,
-so reconstruction is exact on the spline subspace for linear operators.
+overdetermined (N+1) x N system. Both parts come from the one
+linearization matrix D of dA(x0): the block is S D^T with S the spline
+samples, the extra row is A x0 - D x0. The system does not depend on the
+data, and its minimum-norm least-squares solution is taken through one
+pseudo-inverse. All inner products use the same grid trapezoid rule as
+the forward map, so reconstruction is exact on the spline subspace for
+linear operators.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .bspline import CubicBSplineBasis, delta_moments, interpolate
 # quad_weighted_integral is not called here; bench/tracing.py patches this name.
 from .grid import SampledFunction, quad_weighted_integral
+# forward_dA is not called here; bench/tracing.py patches this name.
 from .volterra import (
     DiscreteForwardMap,
     QuadraticVolterraOperator,
@@ -59,29 +64,6 @@ class AssembledSystem:
     rhs: np.ndarray = field(repr=False)
     condition: float
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-
-def _adjoint_block(
-    basis: CubicBSplineBasis,
-    x0: SampledFunction,
-    fmap: DiscreteForwardMap,
-) -> np.ndarray:
-    """Matrix block M[j, i] = <dA(x0)* e_i, S_j> by grid trapezoid rule:
-    row j of the linearization matrix applied to the samples of S_j."""
-    return basis.node_values() @ linearization_matrix(fmap, x0).T
-
-
-def constraint_row(
-    op: QuadraticVolterraOperator,
-    x0: SampledFunction,
-    fmap: DiscreteForwardMap,
-) -> np.ndarray:
-    """Entries c_i = (A x0)(t_i) - (dA(x0) x0)(t_i); identically 0 for nu=0."""
-    return forward_data(fmap, x0) - forward_dA(fmap, x0, x0)
-
 
 def assemble_adjoint_system(
     op: QuadraticVolterraOperator,
@@ -97,8 +79,11 @@ def assemble_adjoint_system(
         raise ValueError(
             f"expected {basis.size} moments per target, got shape {mu_moments.shape}"
         )
-    block = _adjoint_block(basis, x0, fmap)
-    matrix = np.vstack([block, constraint_row(op, x0, fmap)])
+    d = linearization_matrix(fmap, x0)
+    # block[j, i] = <dA(x0)* e_i, S_j>; the extra row is A x0 - dA(x0) x0,
+    # identically 0 for nu = 0
+    block = basis.node_values() @ d.T
+    matrix = np.vstack([block, forward_data(fmap, x0) - d @ x0.values])
     condition = float(np.linalg.cond(block))
     if condition > CONDITION_LIMIT:
         raise NearSingularSystemError(
@@ -109,17 +94,9 @@ def assemble_adjoint_system(
 
 
 def solve_weights(system: AssembledSystem) -> WeightVector:
-    """Least-squares solution of the overdetermined system (minimum-norm
-    when rank deficient)."""
-    phi, _, rank, _ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    if rank < system.n:
-        import warnings
-
-        warnings.warn(
-            f"weight system rank deficient: rank {rank} < {system.n}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    """Minimum-norm least-squares solution of the overdetermined system,
+    through the pseudo-inverse that reconstruct_profile applies."""
+    phi = np.linalg.pinv(system.matrix) @ system.rhs
     residual = float(np.linalg.norm(system.matrix @ phi - system.rhs))
     return WeightVector(phi, residual)
 
@@ -248,18 +225,6 @@ class ErrorBudget:
             + self.constraint_term
             + self.adjoint_defect_term
         )
-
-    def to_text(self) -> str:
-        lines = [
-            f"noise_term={self.noise_term:.12g}",
-            f"linearization_term={self.linearization_term:.12g}",
-            f"constraint_term={self.constraint_term:.12g}",
-            f"adjoint_defect_term={self.adjoint_defect_term:.12g}",
-            f"total={self.total:.12g}",
-        ]
-        if self.dist_x_star is not None:
-            lines.append(f"dist_x_star={self.dist_x_star:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 def error_budget(

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 
 import bgrecon
-from bgrecon.bspline import CubicBSplineBasis
+from bgrecon.bspline import CubicBSplineBasis, delta_moments
 from bgrecon.grid import SampledFunction, UniformGrid, noise_direction
-from bgrecon.solver import reconstruct_profile
+from bgrecon.solver import assemble_adjoint_system, reconstruct_profile, solve_weights
 from bgrecon.volterra import DiscreteForwardMap, QuadraticVolterraOperator, forward_data
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -30,16 +30,9 @@ def test_traced_names_exist(monkeypatch):
     assert missing == []
 
 
-def test_corrupted_pinv_moves_the_profile(monkeypatch):
-    # bench/run.py --corrupt perturbs numpy.linalg.pinv's result by a
-    # relative 1e-3, and bench/selftest.py needs the gates to see it; that
-    # holds only while reconstruct_profile looks pinv up on numpy.linalg
-    grid = UniformGrid(16)
-    op = QuadraticVolterraOperator(SampledFunction(grid, 1.0 + grid.nodes), 0.1)
-    basis = CubicBSplineBasis(grid)
-    y = forward_data(DiscreteForwardMap(op), SampledFunction(grid, np.sin(grid.nodes)))
-    targets = [0.25, 0.5, 0.75]
-    clean = reconstruct_profile(op, basis, op.kernel, y, targets)
+def corrupt_pinv(monkeypatch):
+    # perturb numpy.linalg.pinv's result by a relative 1e-3, as
+    # bench/run.py --corrupt does
     pinv = np.linalg.pinv
 
     def pinv_perturbed(matrix, *args, **kwargs):
@@ -47,6 +40,34 @@ def test_corrupted_pinv_moves_the_profile(monkeypatch):
         return inverse * (1.0 + 1e-3 * noise_direction(inverse.shape, 0))
 
     monkeypatch.setattr(np.linalg, "pinv", pinv_perturbed)
+
+
+def moment_problem():
+    grid = UniformGrid(16)
+    op = QuadraticVolterraOperator(SampledFunction(grid, 1.0 + grid.nodes), 0.1)
+    return op, CubicBSplineBasis(grid)
+
+
+def test_corrupted_pinv_moves_the_profile(monkeypatch):
+    # bench/selftest.py needs the gates to see the corruption; that holds
+    # only while reconstruct_profile looks pinv up on numpy.linalg
+    op, basis = moment_problem()
+    grid = op.grid
+    y = forward_data(DiscreteForwardMap(op), SampledFunction(grid, np.sin(grid.nodes)))
+    targets = [0.25, 0.5, 0.75]
+    clean = reconstruct_profile(op, basis, op.kernel, y, targets)
+    corrupt_pinv(monkeypatch)
     corrupted = reconstruct_profile(op, basis, op.kernel, y, targets)
     for (_, value), (_, moved) in zip(clean, corrupted):
         assert moved != value
+
+
+def test_corrupted_pinv_moves_the_weights(monkeypatch):
+    # solve_weights and reconstruct_profile invert the adjoint system
+    # through the same pinv, so the corruption reaches both
+    op, basis = moment_problem()
+    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, 0.5))
+    clean = solve_weights(system).coefficients
+    corrupt_pinv(monkeypatch)
+    moved = solve_weights(system).coefficients
+    assert np.all(moved != clean)
