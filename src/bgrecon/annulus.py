@@ -4,14 +4,14 @@ The outer circle is split at the contact points P1 = (0,-1) and
 P2 = (0,1) into a right half Gamma_r (x >= 0) and a left half Gamma_l
 (x <= 0); the inner circle is Gamma_i. Mixed boundary value problems
 for the Laplacian are solved with second-order finite differences in
-polar coordinates in conservative (flux) form; Neumann conditions are
-imposed by a half-cell flux balance, which keeps the difference
-operator energy-consistent so that the alternating iteration below
-contracts. Normal derivatives of solved fields are read off through
-the same boundary flux balance. On top of that sit the
-trace-to-trace operators A and
-A_sharp, the endpoint-correction functional, the alternating
-Kozlov-Maz'ya iteration, and sentinel reconstruction.
+polar coordinates in conservative (flux) form, assembled from one
+stencil per ring of nodes. On a rim the ring's rows are a half-cell
+flux balance that reads the normal derivative: the same rows impose
+Neumann data and read u_nu off solved fields, which keeps the
+difference operator energy-consistent, so that the alternating
+iteration below contracts. On top of that sit the trace-to-trace
+operators A and A_sharp, the endpoint-correction functional, the
+alternating Kozlov-Maz'ya iteration, and sentinel reconstruction.
 
 Boundary traces on the outer halves are parameterized by the arc angle
 t in [0, pi] measured from P1 (so t coincides with arc length, the
@@ -130,6 +130,48 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
 
+def _ring_rows(grid: AnnulusGrid, k: int) -> sp.csr_matrix:
+    """The n_theta finite-difference rows of ring k, over all
+    n_r * n_theta nodes (flat index k * n_theta + m).
+
+    Inside: the conservative form (1/r)(r u_r)_r + u_tt/r^2 = 0 with
+    radial fluxes through the half-node radii r -+ dr/2. On a rim: the
+    half control volume's balance of the boundary flux r*u_nu against
+    the radial flux through the half-node radius r_h and the angular
+    fluxes, scaled so that the row reads u_nu. The outward normal is +r
+    on the outer circle and -r on the inner one, so the inward neighbour
+    is ring k - 1 on the outer circle and ring k + 1 on the inner one.
+    The flux form is energy-symmetric, which makes the alternating
+    iteration nonexpansive."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    dr, dt = grid.dr, grid.dtheta
+    r = grid.radii[k]
+    if 0 < k < n_r - 1:
+        r_p = r + dr / 2
+        r_m = r - dr / 2
+        stencil = (
+            (1, 0, r_p / (dr**2 * r)),
+            (-1, 0, r_m / (dr**2 * r)),
+            (0, 0, -(r_p + r_m) / (dr**2 * r) - 2 / (dt**2 * r**2)),
+            (0, 1, 1 / (dt**2 * r**2)),
+            (0, -1, 1 / (dt**2 * r**2)),
+        )
+    else:
+        inward = -1 if k else 1
+        r_h = r + inward * dr / 2
+        stencil = (
+            (0, 0, r_h / (dr * r) + dr / (dt**2 * r**2)),
+            (inward, 0, -r_h / (dr * r)),
+            (0, 1, -dr / (2 * dt**2 * r**2)),
+            (0, -1, -dr / (2 * dt**2 * r**2)),
+        )
+    m = np.arange(n_t)
+    cols = [(k + dk) * n_t + (m + dm) % n_t for dk, dm, _ in stencil]
+    vals = np.repeat([v for _, _, v in stencil], n_t)
+    rows = np.tile(m, len(stencil))
+    return sp.csr_matrix((vals, (rows, np.concatenate(cols))), shape=(n_t, n_r * n_t))
+
+
 class AnnulusBVPSolver:
     """Factorized finite-difference operator for one boundary pattern:
     kinds gives the condition on (Gamma_r, Gamma_l, Gamma_i), each
@@ -148,37 +190,10 @@ class AnnulusBVPSolver:
         self.kinds = kinds
         self._build()
 
-    def _idx(self, k: int, m: int) -> int:
-        return k * self.grid.n_theta + m % self.grid.n_theta
-
     def _build(self):
         g = self.grid
         n_r, n_t = g.n_r, g.n_theta
-        dr, dt = g.dr, g.dtheta
-        radii = g.radii
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-        # interior: conservative form (1/r)(r u_r)_r + u_tt/r^2 = 0 with
-        # radial fluxes through the half-node radii r_{k +- 1/2}. The
-        # underlying flux scheme is energy-symmetric, which makes the
-        # Dirichlet/Neumann alternating iteration below nonexpansive.
-        for k in range(1, n_r - 1):
-            r = radii[k]
-            r_p = r + dr / 2
-            r_m = r - dr / 2
-            for m in range(n_t):
-                row = self._idx(k, m)
-                add(row, self._idx(k + 1, m), r_p / (dr**2 * r))
-                add(row, self._idx(k - 1, m), r_m / (dr**2 * r))
-                add(row, row, -(r_p + r_m) / (dr**2 * r) - 2 / (dt**2 * r**2))
-                add(row, self._idx(k, m + 1), 1 / (dt**2 * r**2))
-                add(row, self._idx(k, m - 1), 1 / (dt**2 * r**2))
-
+        n = n_r * n_t
         # the outer segment owning each angular node; at the two contact
         # nodes, shared by both halves, Dirichlet wins, and Gamma_r when
         # both halves have the same kind
@@ -187,33 +202,15 @@ class AnnulusBVPSolver:
         if kind_r == NEUMANN and kind_l == DIRICHLET:
             owners[[0, g.n_half]] = GAMMA_L
         outer_kinds = np.where(owners == GAMMA_R, kind_r, kind_l)
-        inner_kinds = [kind_i] * n_t
-
-        # Neumann rows balance the half control volume at the rim: boundary
-        # flux r*g against the radial flux through the half-node radius
-        # r_h and the angular fluxes, normalized so the right-hand side is
-        # the prescribed g itself. On the outer circle (k = n_r - 1) the
-        # outward normal is +r; on the inner circle (k = 0) it is -r, so a
-        # prescribed u_nu = g means u_r = -g at the hole.
-        r_out, r_in = radii[-1], radii[0]
-        for k_b, k_n, r_b, r_h, ring_kinds in (
-            (n_r - 1, n_r - 2, r_out, r_out - dr / 2, outer_kinds),
-            (0, 1, r_in, r_in + dr / 2, inner_kinds),
-        ):
-            for m in range(n_t):
-                row = self._idx(k_b, m)
-                if ring_kinds[m] == DIRICHLET:
-                    add(row, row, 1.0)
-                else:
-                    add(row, row, r_h / (dr * r_b) + dr / (dt**2 * r_b**2))
-                    add(row, self._idx(k_n, m), -r_h / (dr * r_b))
-                    add(row, self._idx(k_b, m + 1), -dr / (2 * dt**2 * r_b**2))
-                    add(row, self._idx(k_b, m - 1), -dr / (2 * dt**2 * r_b**2))
-
-        n = n_r * n_t
-        self._matrix = sp.csc_matrix(
-            sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        )
+        # each node takes its ring's row, a Dirichlet rim node its
+        # identity row (row n + i of the stack below) instead
+        rings = [_ring_rows(g, k) for k in range(n_r)]
+        self._outer_flux = rings[-1]
+        dirichlet = np.zeros(n, dtype=bool)
+        dirichlet[:n_t] = kind_i == DIRICHLET
+        dirichlet[-n_t:] = outer_kinds == DIRICHLET
+        rows = sp.vstack(rings + [sp.eye(n)], format="csr")
+        self._matrix = sp.csc_matrix(rows[np.arange(n) + n * dirichlet])
         self._lu = spla.splu(self._matrix)
         # rim scatter for _rhs, in SEGMENTS order: the flat indices of the
         # nodes each segment owns and their positions in its data. The
@@ -262,19 +259,11 @@ class AnnulusBVPSolver:
         return u.reshape(self.grid.n_r, self.grid.n_theta)
 
     def outer_normal_derivative(self, field: np.ndarray) -> np.ndarray:
-        """u_r at r = 1 for all angular nodes, read through the same
-        half-cell flux balance used to impose Neumann data (second order
-        for discrete harmonic fields, and exactly adjoint to the
-        imposition, which the alternating iteration relies on)."""
-        g = self.grid
-        dr, dt = g.dr, g.dtheta
-        r_out = g.radii[-1]
-        r_om = r_out - dr / 2
-        u_b = field[-1]
-        angular = (np.roll(u_b, -1) + np.roll(u_b, 1) - 2 * u_b) / (
-            dt**2 * r_out**2
-        )
-        return r_om * (u_b - field[-2]) / (dr * r_out) - dr * angular / 2
+        """u_r at r = 1 for all angular nodes: the outer rim's flux
+        balance rows, which also impose Neumann data there, applied to the
+        field (second order for discrete harmonic fields, and adjoint to
+        the imposition, which the alternating iteration relies on)."""
+        return self._outer_flux @ field.ravel()
 
 
 # Boundary patterns as (Gamma_r, Gamma_l, Gamma_i) condition kinds. The

@@ -2,9 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bgrecon import annulus as an
 from bgrecon.cli import table1_rows
+
+# the 7 valid (Gamma_r, Gamma_l, Gamma_i) boundary patterns
+PATTERNS = [
+    kinds
+    for kinds in itertools.product((an.DIRICHLET, an.NEUMANN), repeat=3)
+    if an.DIRICHLET in kinds
+]
 
 
 def dirichlet_solver(grid):
@@ -497,14 +508,7 @@ def rhs_by_node(solver, data):
     return rhs
 
 
-@pytest.mark.parametrize(
-    "kinds",
-    [
-        kinds
-        for kinds in itertools.product((an.DIRICHLET, an.NEUMANN), repeat=3)
-        if an.DIRICHLET in kinds
-    ],
-)
+@pytest.mark.parametrize("kinds", PATTERNS)
 def test_rhs_scatter_matches_node_by_node(kinds):
     g = an.AnnulusGrid(9, 16)
     solver = an.AnnulusBVPSolver(g, kinds)
@@ -548,3 +552,162 @@ def test_solve_refines_once_and_then_rejects():
     solver._lu = _OffsetLU(solver._lu.lu, 0.5)
     with pytest.raises(RuntimeError):
         solver.solve(gamma_r=data)
+
+
+def outer_kind_by_node(grid, kinds, m):
+    """Condition kind at angular node m of the outer circle: Dirichlet
+    owns a contact node if either half is Dirichlet."""
+    kind_r, kind_l, _ = kinds
+    if m in (0, grid.n_half):
+        return an.DIRICHLET if an.DIRICHLET in (kind_r, kind_l) else an.NEUMANN
+    return kind_r if m < grid.n_half else kind_l
+
+
+def matrix_by_node(grid, kinds):
+    """Reference assembly, one node and one coefficient at a time: the
+    conservative 5-point stencil inside; on each rim an identity row for
+    a Dirichlet node and the half-cell flux balance for a Neumann node."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    dr, dt = grid.dr, grid.dtheta
+    radii = grid.radii
+    rows, cols, vals = [], [], []
+
+    def idx(k, m):
+        return k * n_t + m % n_t
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for k in range(1, n_r - 1):
+        r = radii[k]
+        r_p = r + dr / 2
+        r_m = r - dr / 2
+        for m in range(n_t):
+            row = idx(k, m)
+            add(row, idx(k + 1, m), r_p / (dr**2 * r))
+            add(row, idx(k - 1, m), r_m / (dr**2 * r))
+            add(row, row, -(r_p + r_m) / (dr**2 * r) - 2 / (dt**2 * r**2))
+            add(row, idx(k, m + 1), 1 / (dt**2 * r**2))
+            add(row, idx(k, m - 1), 1 / (dt**2 * r**2))
+    outer_kinds = [outer_kind_by_node(grid, kinds, m) for m in range(n_t)]
+    inner_kinds = [kinds[2]] * n_t
+    r_out, r_in = radii[-1], radii[0]
+    for k_b, k_n, r_b, r_h, ring_kinds in (
+        (n_r - 1, n_r - 2, r_out, r_out - dr / 2, outer_kinds),
+        (0, 1, r_in, r_in + dr / 2, inner_kinds),
+    ):
+        for m in range(n_t):
+            row = idx(k_b, m)
+            if ring_kinds[m] == an.DIRICHLET:
+                add(row, row, 1.0)
+            else:
+                add(row, row, r_h / (dr * r_b) + dr / (dt**2 * r_b**2))
+                add(row, idx(k_n, m), -r_h / (dr * r_b))
+                add(row, idx(k_b, m + 1), -dr / (2 * dt**2 * r_b**2))
+                add(row, idx(k_b, m - 1), -dr / (2 * dt**2 * r_b**2))
+    n = n_r * n_t
+    return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (17, 64)])
+@pytest.mark.parametrize("kinds", PATTERNS)
+def test_matrix_matches_node_by_node(kinds, shape):
+    g = an.AnnulusGrid(*shape)
+    matrix = an.AnnulusBVPSolver(g, kinds)._matrix
+    expected = matrix_by_node(g, kinds)
+    np.testing.assert_array_equal(matrix.indptr, expected.indptr)
+    np.testing.assert_array_equal(matrix.indices, expected.indices)
+    np.testing.assert_array_equal(matrix.data, expected.data)
+
+
+@pytest.mark.parametrize("kinds", PATTERNS)
+def test_outer_neumann_rows_are_the_read_off_rows(kinds):
+    # imposing u_nu and reading u_r on the outer circle use the same rows
+    g = an.AnnulusGrid(9, 16)
+    solver = an.AnnulusBVPSolver(g, kinds)
+    rows = solver._matrix.tocsr()
+    neumann = [m for m in range(g.n_theta) if outer_kind_by_node(g, kinds, m) == an.NEUMANN]
+    assert neumann or an.NEUMANN not in kinds[:2]
+    for m in neumann:
+        np.testing.assert_array_equal(
+            rows[(g.n_r - 1) * g.n_theta + m].toarray(), solver._outer_flux[m].toarray()
+        )
+
+
+def normal_derivative_by_roll(grid, field):
+    """u_r at r = 1 from the outer half-cell flux balance, written out
+    with np.roll over the two outermost rings."""
+    dr, dt = grid.dr, grid.dtheta
+    r_out = grid.radii[-1]
+    r_om = r_out - dr / 2
+    u_b = field[-1]
+    angular = (np.roll(u_b, -1) + np.roll(u_b, 1) - 2 * u_b) / (dt**2 * r_out**2)
+    return r_om * (u_b - field[-2]) / (dr * r_out) - dr * angular / 2
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (17, 64), (65, 256)])
+def test_read_off_matches_the_rolled_flux_balance(shape):
+    g = an.AnnulusGrid(*shape)
+    solver = an.pattern_solver(g, an.DIRICHLET_R)
+    rng = np.random.default_rng(3)
+    for field in (
+        rng.uniform(-1.0, 1.0, (g.n_r, g.n_theta)),
+        solver.solve(gamma_l=rng.uniform(-1.0, 1.0, g.n_half + 1)),
+    ):
+        expected = normal_derivative_by_roll(g, field)
+        np.testing.assert_allclose(
+            solver.outer_normal_derivative(field),
+            expected,
+            rtol=0,
+            atol=1e-13 * np.max(np.abs(expected)),
+        )
+
+
+GRIDS = (an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64))
+
+
+def trace_norm(trace):
+    return np.sqrt(an.trace_inner(trace, trace))
+
+
+@st.composite
+def grid_and_traces(draw, count):
+    """A grid and `count` outer-half traces with values in [-1, 1]; none
+    is nonzero below 1e-100 in magnitude, so no square in the scale of a
+    pairing underflows."""
+    g = draw(st.sampled_from(GRIDS))
+    elements = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+    values = hnp.arrays(float, g.n_half + 1, elements=elements)
+    return g, [draw(values) for _ in range(count)]
+
+
+def pairing(g, phi, psi):
+    """<A phi, psi> + <phi, A_sharp psi> and its Cauchy-Schwarz scale
+    |A phi| |psi| + |phi| |A_sharp psi|."""
+    phi = an.BoundaryTrace(g, an.GAMMA_R, phi)
+    psi = an.BoundaryTrace(g, an.GAMMA_L, psi)
+    a_phi, a_sharp_psi = an.apply_A(g, phi), an.apply_A_sharp(g, psi)
+    value = an.trace_inner(a_phi, psi) + an.trace_inner(phi, a_sharp_psi)
+    scale = trace_norm(a_phi) * trace_norm(psi) + trace_norm(phi) * trace_norm(a_sharp_psi)
+    return value, scale
+
+
+@given(grid_and_traces(2))
+def test_duality_holds_for_random_endpoint_free_traces(case):
+    # <A phi, psi> = -<phi, A_sharp psi> exactly in the discrete scheme
+    # when phi vanishes at the two contact nodes
+    g, (phi, psi) = case
+    phi[[0, -1]] = 0.0
+    value, scale = pairing(g, phi, psi)
+    assert abs(value) <= 1e-11 * scale
+
+
+@given(grid_and_traces(3))
+def test_pairing_depends_only_on_endpoint_values(case):
+    g, (phi1, phi2, psi) = case
+    phi2[[0, -1]] = phi1[[0, -1]]
+    value1, scale1 = pairing(g, phi1, psi)
+    value2, scale2 = pairing(g, phi2, psi)
+    assert abs(value1 - value2) <= 1e-11 * (scale1 + scale2)

@@ -9,6 +9,7 @@ from bgrecon.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,
     EXIT_UNWRITABLE,
+    N_MAX,
     ExperimentConfig,
     build_config,
     main,
@@ -43,6 +44,29 @@ def test_nonfinite_config_value_is_rejected(tmp_path, line):
     out = tmp_path / "out"
     code = main(["fig2", "--config", str(cfg_file), "--out", str(out)])
     assert code == EXIT_UNKNOWN_ID
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--n", str(10**20)], ["--n", str(N_MAX + 1)]]
+)
+def test_out_of_range_flag_is_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["fig2", *flags, "--out", str(out)]) == EXIT_UNKNOWN_ID
+    assert capsys.readouterr().err.startswith("error: need")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed=-1", f"n={10**20}", f"n={N_MAX + 1}"])
+def test_out_of_range_config_value_is_rejected(tmp_path, capsys, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    with pytest.raises(ValueError, match="need"):
+        build_config(["fig2", "--config", str(cfg_file)])
+    out = tmp_path / "out"
+    code = main(["fig2", "--config", str(cfg_file), "--out", str(out)])
+    assert code == EXIT_UNKNOWN_ID
+    assert capsys.readouterr().err.startswith("error: need")
     assert not out.exists()
 
 
