@@ -13,9 +13,10 @@ iteration below contracts. On top of that sit the trace-to-trace
 operators A and A_sharp, the endpoint-correction functional, the
 alternating Kozlov-Maz'ya iteration, and sentinel reconstruction.
 
-Boundary traces on the outer halves are parameterized by the arc angle
-t in [0, pi] measured from P1 (so t coincides with arc length, the
-outer radius being 1).
+Boundary traces live on the outer halves only (the inner circle enters
+as solver data) and are parameterized by the arc angle t in [0, pi]
+measured from P1 (so t coincides with arc length, the outer radius
+being 1).
 """
 
 from __future__ import annotations
@@ -74,15 +75,13 @@ class AnnulusGrid:
         return self.dtheta * np.arange(self.n_half + 1)
 
     def segment_angular_indices(self, segment: str) -> np.ndarray:
-        """Angular node indices m along a segment, ordered by arc parameter
-        (outer halves run from P1 to P2; Gamma_i runs over all m)."""
+        """Angular node indices m along an outer half, ordered by arc
+        parameter from P1 to P2."""
         if segment == GAMMA_R:
             return np.arange(self.n_half + 1)
         if segment == GAMMA_L:
             return (-np.arange(self.n_half + 1)) % self.n_theta
-        if segment == GAMMA_I:
-            return np.arange(self.n_theta)
-        raise ValueError(f"unknown segment {segment!r}")
+        raise ValueError(f"unknown outer half {segment!r}")
 
     def segment_size(self, segment: str) -> int:
         return self.n_theta if segment == GAMMA_I else self.n_half + 1
@@ -95,8 +94,8 @@ class BoundaryTrace:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.segment not in SEGMENTS:
-            raise ValueError(f"unknown segment {self.segment!r}")
+        if self.segment not in (GAMMA_R, GAMMA_L):
+            raise ValueError(f"a trace lives on an outer half, not {self.segment!r}")
         vals = np.asarray(self.values, dtype=float)
         expected = self.grid.segment_size(self.segment)
         if vals.shape != (expected,):
@@ -109,25 +108,24 @@ class BoundaryTrace:
 
     @classmethod
     def from_callable(cls, grid: AnnulusGrid, segment: str, fn) -> "BoundaryTrace":
-        if segment == GAMMA_I:
-            params = grid.thetas
-        else:
-            params = grid.arc_params
-        values = np.fromiter(map(fn, params.tolist()), float, len(params))
+        values = np.fromiter(map(fn, grid.arc_params.tolist()), float, grid.n_half + 1)
         return cls(grid, segment, values)
 
     def to_csv(self, path) -> None:
-        params = (
-            self.grid.thetas if self.segment == GAMMA_I else self.grid.arc_params
-        )
         with open(path, "w", newline="") as fh:
             fh.write("index,arc_parameter,value\n")
-            for i, (t, v) in enumerate(zip(params, self.values)):
+            for i, (t, v) in enumerate(zip(self.grid.arc_params, self.values)):
                 fh.write(f"{i},{t:.12g},{v:.12g}\n")
 
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+
+# Normwise backward-error limit of a BVP solve (Rigal-Gaches; Higham,
+# Accuracy and Stability of Numerical Algorithms, section 7.1): splu
+# solves measure up to about 7 eps on grids from 9 x 16 to 257 x 1024,
+# so 64 eps leaves a tenfold margin and still rejects a wrong solve.
+BACKWARD_LIMIT = 64 * np.finfo(float).eps
 
 
 def _ring_rows(grid: AnnulusGrid, k: int) -> sp.csr_matrix:
@@ -211,6 +209,9 @@ class AnnulusBVPSolver:
         dirichlet[-n_t:] = outer_kinds == DIRICHLET
         rows = sp.vstack(rings + [sp.eye(n)], format="csr")
         self._matrix = sp.csc_matrix(rows[np.arange(n) + n * dirichlet])
+        # ||A||_inf, the max row sum of |A|, for the backward-error test;
+        # taken before splu, so the copy |A| is freed before the LU exists
+        self._norm = spla.norm(self._matrix, np.inf)
         self._lu = spla.splu(self._matrix)
         # rim scatter for _rhs, in SEGMENTS order: the flat indices of the
         # nodes each segment owns and their positions in its data. The
@@ -242,20 +243,19 @@ class AnnulusBVPSolver:
         """Field u on the grid, shape (n_r, n_theta), for one data array
         per segment. Each array holds Dirichlet values or Neumann fluxes
         u_nu, as the solver's pattern says for that segment, at the
-        segment's nodes in arc order; an omitted segment has zero data."""
+        segment's nodes in arc order; an omitted segment has zero data.
+
+        One LU solve per call, accepted by the normwise backward-error
+        test max|A u - rhs| <= BACKWARD_LIMIT * (||A||_inf max|u| +
+        max|rhs|) + tiny; a solve that fails it raises RuntimeError."""
         rhs = self._rhs((gamma_r, gamma_l, gamma_i))
         u = self._lu.solve(rhs)
-        tol = 1e-10 * (1.0 + np.max(np.abs(rhs)))
-        residual = self._matrix @ u - rhs
-        if np.max(np.abs(residual)) > tol:
-            # A backward-stable solve leaves a residual of a few eps*|A|*|u|,
-            # which at 65 x 256 (|A| ~ 1e5) can exceed tol on valid data;
-            # one step of iterative refinement brings it well below.
-            u = u - self._lu.solve(residual)
-            residual = self._matrix @ u - rhs
-        worst = np.max(np.abs(residual))
-        if worst > tol:
-            raise RuntimeError(f"BVP solve residual {worst:.3e} above tolerance")
+        residual = np.max(np.abs(self._matrix @ u - rhs))
+        # a product, not a ratio, so zero data (u = 0) make no 0/0; below
+        # the smallest normal number (tiny) rounding errors are absolute
+        scale = self._norm * np.max(np.abs(u)) + np.max(np.abs(rhs))
+        if residual > BACKWARD_LIMIT * scale + np.finfo(float).tiny:
+            raise RuntimeError(f"BVP residual {residual:.3e} fails backward-error test")
         return u.reshape(self.grid.n_r, self.grid.n_theta)
 
     def outer_normal_derivative(self, field: np.ndarray) -> np.ndarray:
@@ -303,7 +303,7 @@ def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
 def trace_inner(u: BoundaryTrace, v: BoundaryTrace) -> float:
     """Trapezoid inner product over arc length on a shared outer half
     (half-weights at the shared contact endpoints)."""
-    if u.segment != v.segment or u.segment == GAMMA_I:
+    if u.segment != v.segment:
         raise ValueError("traces must share an outer half segment")
     return float(np.trapezoid(u.values * v.values, u.grid.arc_params))
 
@@ -324,8 +324,6 @@ def correction_functional(
 ) -> float:
     """r_{a,b}(psi) = <A eta, psi>_{Gamma_l} + <eta, A_sharp psi>_{Gamma_r}
     for any smooth eta with eta(P1) = a, eta(P2) = b."""
-    if a == 0.0 and b == 0.0 and eta is None:
-        return 0.0
     if eta is None:
         eta = eta_blend(grid, a, b)
     return trace_inner(apply_A(grid, eta), psi) + trace_inner(

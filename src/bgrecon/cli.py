@@ -100,13 +100,8 @@ def x_sq(t):
     return t * t
 
 
-TEST_FUNCTIONS = {
-    "x_a": x_a,
-    "x_b": x_b,
-    "x_c": x_c,
-    "x_lin2t": x_lin2t,
-    "x_sq": x_sq,
-}
+# the test functions of fig1 and fig2, by name
+FIG_FUNCTIONS = (("x_a", x_a), ("x_b", x_b), ("x_c", x_c))
 
 
 def _moment_setup(n: int, nu: float):
@@ -123,15 +118,6 @@ def _targets(grid: UniformGrid) -> np.ndarray:
     return np.sort(np.concatenate([grid.nodes, mids]))
 
 
-def _reconstruct_function(n, nu, eps, seed, fn):
-    grid, basis, op, fmap = _moment_setup(n, nu)
-    y = forward_data_exact(op, fn, fmap.nodes)
-    if eps > 0:
-        y = y + y * eps * noise_direction(y.shape, seed)
-    x0 = op.kernel
-    return reconstruct_profile(op, basis, x0, y, _targets(grid), fmap)
-
-
 def _error_at_half(n, fn):
     # Convergence-study protocol: the direct problem is solved on a grid
     # refined by a fixed factor relative to the reconstruction grid, so
@@ -145,33 +131,52 @@ def _error_at_half(n, fn):
 # --- experiment runners -----------------------------------------------------
 
 
-def _run_fig1(cfg: ExperimentConfig, out: str) -> list[str]:
+def _plot_reconstructions(out: str, plots) -> list[str]:
+    """Write one reconstruction CSV per curve and one SVG per plot, and
+    return the paths in write order. plots holds (svg, curves) pairs; a
+    curve is (legend, csv, fn, N, nu) for exact data, or (legend, csv,
+    fn, N, nu, eps, seed) for data with relative noise eps."""
     files = []
-    for fname, fn in (("x_a", x_a), ("x_b", x_b), ("x_c", x_c)):
+    for svg, curves in plots:
         series = []
-        for n in (25, 50):
-            pairs = _reconstruct_function(n, 0.0, 0.0, cfg.seed, fn)
-            path = os.path.join(out, f"fig1_{fname}_N{n}.csv")
+        for legend, csv, fn, n, nu, *noise in curves:
+            grid, basis, op, fmap = _moment_setup(n, nu)
+            y = forward_data_exact(op, fn, fmap.nodes)
+            if noise and noise[0] > 0:
+                eps, seed = noise
+                y = y + y * eps * noise_direction(y.shape, seed)
+            pairs = reconstruct_profile(op, basis, op.kernel, y, _targets(grid), fmap)
+            path = os.path.join(out, csv)
             profile_to_csv(pairs, path, truth=fn)
             files.append(path)
-            series.append((f"{fname} N={n}", path))
-        svg = os.path.join(out, f"fig1_{fname}.svg")
-        emit_plot(series, svg)
-        files.append(svg)
+            series.append((legend, path))
+        path = os.path.join(out, svg)
+        emit_plot(series, path)
+        files.append(path)
     return files
+
+
+def _run_fig1(cfg: ExperimentConfig, out: str) -> list[str]:
+    plots = [
+        (
+            f"fig1_{name}.svg",
+            [(f"{name} N={n}", f"fig1_{name}_N{n}.csv", fn, n, 0.0) for n in (25, 50)],
+        )
+        for name, fn in FIG_FUNCTIONS
+    ]
+    return _plot_reconstructions(out, plots)
 
 
 def _run_fig2(cfg: ExperimentConfig, out: str) -> list[str]:
-    files = []
-    for fname, fn in (("x_a", x_a), ("x_b", x_b), ("x_c", x_c)):
-        pairs = _reconstruct_function(cfg.n, cfg.nu, cfg.eps, cfg.seed, fn)
-        path = os.path.join(out, f"fig2_{fname}_N{cfg.n}.csv")
-        profile_to_csv(pairs, path, truth=fn)
-        files.append(path)
-        svg = os.path.join(out, f"fig2_{fname}.svg")
-        emit_plot([(f"{fname} noisy", path)], svg)
-        files.append(svg)
-    return files
+    noisy = (cfg.n, cfg.nu, cfg.eps, cfg.seed)
+    plots = [
+        (
+            f"fig2_{name}.svg",
+            [(f"{name} noisy", f"fig2_{name}_N{cfg.n}.csv", fn, *noisy)],
+        )
+        for name, fn in FIG_FUNCTIONS
+    ]
+    return _plot_reconstructions(out, plots)
 
 
 def fig3_errors(n_values=None):
@@ -214,49 +219,28 @@ def _run_fig3(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_fig4(cfg: ExperimentConfig, out: str) -> list[str]:
-    files = []
-    series = []
-    for nu in (0.01, 0.1, 1.0):
-        pairs = _reconstruct_function(25, nu, 0.0, cfg.seed, x_sq)
-        path = os.path.join(out, f"fig4_nu{nu:g}.csv")
-        profile_to_csv(pairs, path, truth=x_sq)
-        files.append(path)
-        series.append((f"nu={nu:g}", path))
-    svg = os.path.join(out, "fig4.svg")
-    emit_plot(series, svg)
-    files.append(svg)
-    return files
+    curves = [
+        (f"nu={nu:g}", f"fig4_nu{nu:g}.csv", x_sq, 25, nu) for nu in (0.01, 0.1, 1.0)
+    ]
+    return _plot_reconstructions(out, [("fig4.svg", curves)])
 
 
 def _run_fig5(cfg: ExperimentConfig, out: str) -> list[str]:
-    files = []
-    for fname, fn in (("x_b", x_b), ("x_c", x_c)):
-        pairs = _reconstruct_function(25, 0.01, 0.0, cfg.seed, fn)
-        path = os.path.join(out, f"fig5_{fname}.csv")
-        profile_to_csv(pairs, path, truth=fn)
-        files.append(path)
-        svg = os.path.join(out, f"fig5_{fname}.svg")
-        emit_plot([(fname, path)], svg)
-        files.append(svg)
-    return files
-
-
-def _annulus_sentinel(n_r: int, n_theta: int, max_iter: int):
-    """Shared chain for fig6/table1: mu = A_sharp(1), then Kozlov-Maz'ya."""
-    grid = annulus.AnnulusGrid(n_r, n_theta)
-    psi_bar = annulus.BoundaryTrace(
-        grid, annulus.GAMMA_L, np.ones(grid.n_half + 1)
-    )
-    mu = annulus.apply_A_sharp(grid, psi_bar)
-    keep = tuple(k for k in (1, 2, 5, 10, 25, 50, 100) if k <= max_iter)
-    result = annulus.kozlov_mazya_solve(
-        grid, mu, max_iter=max_iter, tol=1e-12, keep_iterates=keep
-    )
-    return grid, mu, result
+    plots = [
+        (f"fig5_{name}.svg", [(name, f"fig5_{name}.csv", fn, 25, 0.01)])
+        for name, fn in (("x_b", x_b), ("x_c", x_c))
+    ]
+    return _plot_reconstructions(out, plots)
 
 
 def _run_fig6(cfg: ExperimentConfig, out: str) -> list[str]:
-    grid, mu, result = _annulus_sentinel(17, 64, 100)
+    # mu = A_sharp(1) on 17 x 64, then 100 Kozlov-Maz'ya steps
+    grid = annulus.AnnulusGrid(17, 64)
+    psi_bar = annulus.BoundaryTrace(grid, annulus.GAMMA_L, np.ones(grid.n_half + 1))
+    mu = annulus.apply_A_sharp(grid, psi_bar)
+    result = annulus.kozlov_mazya_solve(
+        grid, mu, max_iter=100, tol=1e-12, keep_iterates=(1, 2, 5, 10, 25, 50, 100)
+    )
     files = []
     series = []
     for k, trace in result.iterates:
