@@ -2,21 +2,23 @@
 
 The outer circle is split at the contact points P1 = (0,-1) and
 P2 = (0,1) into a right half Gamma_r (x >= 0) and a left half Gamma_l
-(x <= 0); the inner circle is Gamma_i. Mixed boundary value problems
-for the Laplacian are solved with second-order finite differences in
-polar coordinates in conservative (flux) form, assembled from one
-stencil per ring of nodes. On a rim the ring's rows are a half-cell
-flux balance that reads the normal derivative: the same rows impose
-Neumann data and read u_nu off solved fields, which keeps the
-difference operator energy-consistent, so that the alternating
-iteration below contracts. On top of that sit the trace-to-trace
-operators A and A_sharp, the endpoint-correction functional, the
-alternating Kozlov-Maz'ya iteration, and sentinel reconstruction.
+(x <= 0); the inner circle is Gamma_i. Every operator here rests on one
+mixed boundary value problem for the Laplacian: Dirichlet data on
+Gamma_r, flux data on Gamma_l and zero flux on Gamma_i; the problem with
+the two halves swapped is the same one mirrored. It is solved with
+second-order finite differences in polar coordinates in conservative
+(flux) form, assembled from one stencil per ring of nodes. On a rim the
+ring's rows are a half-cell flux balance that reads the normal
+derivative: the same rows impose flux data and read u_nu off solved
+fields, which keeps the difference operator energy-consistent, so that
+the alternating iteration below contracts. On top of that sit the
+trace-to-trace operators A and A_sharp, the endpoint-correction
+functional, the alternating Kozlov-Maz'ya iteration, and sentinel
+reconstruction.
 
-Boundary traces live on the outer halves only (the inner circle enters
-as solver data) and are parameterized by the arc angle t in [0, pi]
-measured from P1 (so t coincides with arc length, the outer radius
-being 1).
+Boundary traces live on the outer halves only and are parameterized by
+the arc angle t in [0, pi] measured from P1 (so t coincides with arc
+length, the outer radius being 1).
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ R_OUTER = 1.0
 
 GAMMA_R = "gamma_r"
 GAMMA_L = "gamma_l"
-GAMMA_I = "gamma_i"
-SEGMENTS = (GAMMA_R, GAMMA_L, GAMMA_I)
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,6 @@ class AnnulusGrid:
             return (-np.arange(self.n_half + 1)) % self.n_theta
         raise ValueError(f"unknown outer half {segment!r}")
 
-    def segment_size(self, segment: str) -> int:
-        return self.n_theta if segment == GAMMA_I else self.n_half + 1
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTrace:
@@ -97,7 +94,7 @@ class BoundaryTrace:
         if self.segment not in (GAMMA_R, GAMMA_L):
             raise ValueError(f"a trace lives on an outer half, not {self.segment!r}")
         vals = np.asarray(self.values, dtype=float)
-        expected = self.grid.segment_size(self.segment)
+        expected = self.grid.n_half + 1
         if vals.shape != (expected,):
             raise ValueError(
                 f"{self.segment} trace needs {expected} values, got {vals.shape}"
@@ -117,9 +114,6 @@ class BoundaryTrace:
             for i, (t, v) in enumerate(zip(self.grid.arc_params, self.values)):
                 fh.write(f"{i},{t:.12g},{v:.12g}\n")
 
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 
 # Normwise backward-error limit of a BVP solve (Rigal-Gaches; Higham,
 # Accuracy and Stability of Numerical Algorithms, section 7.1): splu
@@ -171,84 +165,62 @@ def _ring_rows(grid: AnnulusGrid, k: int) -> sp.csr_matrix:
 
 
 class AnnulusBVPSolver:
-    """Factorized finite-difference operator for one boundary pattern:
-    kinds gives the condition on (Gamma_r, Gamma_l, Gamma_i), each
-    DIRICHLET or NEUMANN, and at least one must be DIRICHLET. The data of
-    each solve follow that pattern."""
+    """Factorized finite-difference operator for the grid's one boundary
+    pattern: Dirichlet data on Gamma_r, both contact nodes included, flux
+    data u_nu on the interior nodes of Gamma_l, and zero flux on
+    Gamma_i."""
 
-    def __init__(self, grid: AnnulusGrid, kinds: tuple[str, str, str]):
-        if len(kinds) != len(SEGMENTS):
-            raise ValueError(f"need one condition kind per segment, got {kinds!r}")
-        for kind in kinds:
-            if kind not in (DIRICHLET, NEUMANN):
-                raise ValueError(f"unknown condition kind {kind!r}")
-        if DIRICHLET not in kinds:
-            raise ValueError("all-Neumann problem is rank deficient")
+    def __init__(self, grid: AnnulusGrid):
         self.grid = grid
-        self.kinds = kinds
-        self._build()
-
-    def _build(self):
-        g = self.grid
-        n_r, n_t = g.n_r, g.n_theta
+        n_r, n_t = grid.n_r, grid.n_theta
         n = n_r * n_t
-        # the outer segment owning each angular node; at the two contact
-        # nodes, shared by both halves, Dirichlet wins, and Gamma_r when
-        # both halves have the same kind
-        kind_r, kind_l, kind_i = self.kinds
-        owners = np.where(np.arange(n_t) <= g.n_half, GAMMA_R, GAMMA_L)
-        if kind_r == NEUMANN and kind_l == DIRICHLET:
-            owners[[0, g.n_half]] = GAMMA_L
-        outer_kinds = np.where(owners == GAMMA_R, kind_r, kind_l)
-        # each node takes its ring's row, a Dirichlet rim node its
-        # identity row (row n + i of the stack below) instead
-        rings = [_ring_rows(g, k) for k in range(n_r)]
+        rim = (n_r - 1) * n_t
+        gamma_r_nodes = rim + grid.segment_angular_indices(GAMMA_R)
+        # rim scatter for _rhs, Gamma_r then Gamma_l: the flat indices of
+        # the outer nodes each half's data set and their positions in it.
+        # Gamma_r's Dirichlet data own the two contact nodes.
+        self._scatter = (
+            (GAMMA_R, gamma_r_nodes, slice(None)),
+            (GAMMA_L, rim + grid.segment_angular_indices(GAMMA_L)[1:-1], slice(1, -1)),
+        )
+        # each node takes its ring's row, a Gamma_r node its identity row
+        # (row n + i of the stack below) instead
+        rings = [_ring_rows(grid, k) for k in range(n_r)]
         self._outer_flux = rings[-1]
         dirichlet = np.zeros(n, dtype=bool)
-        dirichlet[:n_t] = kind_i == DIRICHLET
-        dirichlet[-n_t:] = outer_kinds == DIRICHLET
+        dirichlet[gamma_r_nodes] = True
         rows = sp.vstack(rings + [sp.eye(n)], format="csr")
         self._matrix = sp.csc_matrix(rows[np.arange(n) + n * dirichlet])
         # ||A||_inf, the max row sum of |A|, for the backward-error test;
         # taken before splu, so the copy |A| is freed before the LU exists
         self._norm = spla.norm(self._matrix, np.inf)
         self._lu = spla.splu(self._matrix)
-        # rim scatter for _rhs, in SEGMENTS order: the flat indices of the
-        # nodes each segment owns and their positions in its data. The
-        # inner circle is ring k = 0, flat indices 0 .. n_theta - 1.
-        self._scatter = []
-        for segment in (GAMMA_R, GAMMA_L):
-            m_idx = g.segment_angular_indices(segment)
-            pos = np.flatnonzero(owners[m_idx] == segment)
-            self._scatter.append((segment, (n_r - 1) * n_t + m_idx[pos], pos))
-        self._scatter.append((GAMMA_I, np.arange(n_t), np.arange(n_t)))
 
     def _rhs(self, data) -> np.ndarray:
-        """Right-hand side for one array (or None) per segment, in
-        SEGMENTS order."""
+        """Right-hand side for one array (or None) per outer half, Gamma_r
+        then Gamma_l."""
         g = self.grid
         rhs = np.zeros(g.n_r * g.n_theta)
         for (segment, rows, pos), values in zip(self._scatter, data):
             if values is None:
                 continue
-            expected = g.segment_size(segment)
-            if np.shape(values) != (expected,):
+            if np.shape(values) != (g.n_half + 1,):
                 raise ValueError(
-                    f"{segment} data needs {expected} values, got {np.shape(values)}"
+                    f"{segment} data needs {g.n_half + 1} values, got {np.shape(values)}"
                 )
             rhs[rows] = np.asarray(values, dtype=float)[pos]
         return rhs
 
-    def solve(self, gamma_r=None, gamma_l=None, gamma_i=None) -> np.ndarray:
-        """Field u on the grid, shape (n_r, n_theta), for one data array
-        per segment. Each array holds Dirichlet values or Neumann fluxes
-        u_nu, as the solver's pattern says for that segment, at the
-        segment's nodes in arc order; an omitted segment has zero data.
+    def solve(self, gamma_r=None, gamma_l=None) -> np.ndarray:
+        """Field u on the grid, shape (n_r, n_theta), for Dirichlet values
+        gamma_r and fluxes u_nu gamma_l, each at its half's nodes in arc
+        order; omitted data are zero. Gamma_l's two contact values are
+        ignored, since gamma_r sets those nodes.
 
         One LU solve per call, accepted by the normwise backward-error
         test max|A u - rhs| <= BACKWARD_LIMIT * (||A||_inf max|u| +
         max|rhs|) + tiny; a solve that fails it raises RuntimeError."""
-        rhs = self._rhs((gamma_r, gamma_l, gamma_i))
+        rhs = self._rhs((gamma_r, gamma_l))
         u = self._lu.solve(rhs)
         residual = np.max(np.abs(self._matrix @ u - rhs))
         # a product, not a ratio, so zero data (u = 0) make no 0/0; below
@@ -260,25 +232,17 @@ class AnnulusBVPSolver:
 
     def outer_normal_derivative(self, field: np.ndarray) -> np.ndarray:
         """u_r at r = 1 for all angular nodes: the outer rim's flux
-        balance rows, which also impose Neumann data there, applied to the
+        balance rows, which also impose flux data there, applied to the
         field (second order for discrete harmonic fields, and adjoint to
         the imposition, which the alternating iteration relies on)."""
         return self._outer_flux @ field.ravel()
 
 
-# Boundary patterns as (Gamma_r, Gamma_l, Gamma_i) condition kinds. The
-# first serves A, A_sharp, the flux-to-trace matrix and step (i) of the
-# alternating iteration; the second serves its step (ii).
-DIRICHLET_R = (DIRICHLET, NEUMANN, NEUMANN)
-DIRICHLET_L = (NEUMANN, DIRICHLET, NEUMANN)
-
-
 @lru_cache(maxsize=8)
-def pattern_solver(grid: AnnulusGrid, kinds: tuple[str, str, str]) -> AnnulusBVPSolver:
-    """The factorized solver for a grid and a boundary pattern (kinds in
-    SEGMENTS order). The matrix does not depend on the data, so each
-    (grid, pattern) pair is factorized once per process and shared."""
-    return AnnulusBVPSolver(grid, kinds)
+def grid_solver(grid: AnnulusGrid) -> AnnulusBVPSolver:
+    """The factorized solver for a grid. The matrix does not depend on
+    the data, so each grid is factorized once per process and shared."""
+    return AnnulusBVPSolver(grid)
 
 
 def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
@@ -286,7 +250,7 @@ def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     Gamma_r and zero Neumann data on Gamma_l and Gamma_i."""
     if phi.segment != GAMMA_R:
         raise ValueError("phi must be a Gamma_r trace")
-    w = pattern_solver(grid, DIRICHLET_R).solve(gamma_r=phi.values)
+    w = grid_solver(grid).solve(gamma_r=phi.values)
     return BoundaryTrace(grid, GAMMA_L, w[-1][grid.segment_angular_indices(GAMMA_L)])
 
 
@@ -295,7 +259,7 @@ def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
     with v = 0 on Gamma_r, v_nu = psi on Gamma_l, v_nu = 0 on Gamma_i."""
     if psi.segment != GAMMA_L:
         raise ValueError("psi must be a Gamma_l trace")
-    solver = pattern_solver(grid, DIRICHLET_R)
+    solver = grid_solver(grid)
     vn = solver.outer_normal_derivative(solver.solve(gamma_l=psi.values))
     return BoundaryTrace(grid, GAMMA_R, vn[grid.segment_angular_indices(GAMMA_R)])
 
@@ -351,7 +315,7 @@ def flux_to_trace_matrix(grid: AnnulusGrid) -> np.ndarray:
 def flux_to_trace_svd(grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only factors (u, s, vt) of np.linalg.svd(flux_to_trace_matrix).
 
-    Like the factorizations of pattern_solver, they depend only on the
+    Like the factorizations of grid_solver, they depend only on the
     grid, so each grid's n_half + 1 column solves and SVD are paid once
     per process and shared by every sentinel solve."""
     factors = np.linalg.svd(flux_to_trace_matrix(grid))
@@ -411,8 +375,7 @@ def kozlov_mazya_solve(
     """
     if mu.segment != GAMMA_R:
         raise ValueError("mu must be a Gamma_r trace")
-    solver_n = pattern_solver(grid, DIRICHLET_R)
-    solver_d = pattern_solver(grid, DIRICHLET_L)
+    solver = grid_solver(grid)
     gl_idx = grid.segment_angular_indices(GAMMA_L)
     gr_idx = grid.segment_angular_indices(GAMMA_R)
     eta = np.zeros(grid.n_half + 1)
@@ -422,8 +385,8 @@ def kozlov_mazya_solve(
     converged = False
     for k in range(max_iter + 1):
         # step (i): Neumann data eta on Gamma_l, v = 0 on Gamma_r
-        v = solver_n.solve(gamma_l=eta)
-        vn_outer = solver_n.outer_normal_derivative(v)
+        v = solver.solve(gamma_l=eta)
+        vn_outer = solver.outer_normal_derivative(v)
         residual = float(np.max(np.abs(vn_outer[gr_idx] + mu.values)))
         residuals.append(residual)
         if k in keep_iterates:
@@ -435,10 +398,15 @@ def kozlov_mazya_solve(
             inconsistent = True
         if k == max_iter:
             break
-        # step (ii): Dirichlet data g_k on Gamma_l, Neumann -mu on Gamma_r
+        # step (ii): Dirichlet data g_k on Gamma_l, flux -mu on Gamma_r.
+        # The reflection x -> -x, angular node m -> -m (theta -> -theta
+        # measured from P1), maps Gamma_l's arc node j onto Gamma_r's arc
+        # node j, and _ring_rows is symmetric in +-dtheta, so this is the
+        # mirrored solve: the same factorization with the halves' data
+        # swapped, read off on Gamma_r.
         g_k = v[-1][gl_idx]
-        u = solver_d.solve(gamma_r=-mu.values, gamma_l=g_k)
-        eta = solver_d.outer_normal_derivative(u)[gl_idx]
+        u = solver.solve(gamma_r=g_k, gamma_l=-mu.values)
+        eta = solver.outer_normal_derivative(u)[gr_idx]
     return KozlovMazyaResult(
         BoundaryTrace(grid, GAMMA_L, eta),
         np.asarray(residuals),
