@@ -5,14 +5,21 @@ P2 = (0,1) into a right half Gamma_r (x >= 0) and a left half Gamma_l
 (x <= 0); the inner circle is Gamma_i. Every operator here rests on one
 mixed boundary value problem for the Laplacian: Dirichlet data on
 Gamma_r, flux data on Gamma_l and zero flux on Gamma_i; the problem with
-the two halves swapped is the same one mirrored. It is solved with
-second-order finite differences in polar coordinates in conservative
-(flux) form, assembled from one stencil per ring of nodes. On a rim the
-ring's rows are a half-cell flux balance that reads the normal
-derivative: the same rows impose flux data and read u_nu off solved
-fields, which keeps the difference operator energy-consistent, so that
-the alternating iteration below contracts. On top of that sit the
-trace-to-trace operators A and A_sharp, the endpoint-correction
+the two halves swapped is the same one mirrored.
+
+The problem is defined by second-order finite differences in polar
+coordinates in conservative (flux) form, one stencil per ring of nodes.
+On a rim the stencil is a half-cell flux balance that reads the normal
+derivative, so imposing flux data and reading u_nu are one operation,
+which keeps the scheme energy-consistent and makes the alternating
+iteration below contract. Every operator reads outer traces only, and
+the rings are rotation invariant, so eliminating the inner and interior
+rings (an exact Schur complement, the capacitance-matrix idea of Buzbee,
+Dorr, George & Golub 1971) leaves a circulant map Lambda from the outer
+Dirichlet trace to the outer flux balance. Lambda is what runs: its
+eigenvalues come from one Thomas sweep per angular Fourier mode, and each
+solve is one Cholesky solve on Lambda's Gamma_l block. On top of that sit
+the trace-to-trace operators A and A_sharp, the endpoint-correction
 functional, the alternating Kozlov-Maz'ya iteration, and sentinel
 reconstruction.
 
@@ -27,8 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 R_INNER = 0.5
 R_OUTER = 1.0
@@ -115,133 +121,107 @@ class BoundaryTrace:
                 fh.write(f"{i},{t:.12g},{v:.12g}\n")
 
 
-# Normwise backward-error limit of a BVP solve (Rigal-Gaches; Higham,
-# Accuracy and Stability of Numerical Algorithms, section 7.1): splu
-# solves measure up to about 7 eps on grids from 9 x 16 to 257 x 1024,
-# so 64 eps leaves a tenfold margin and still rejects a wrong solve.
+# Normwise backward-error limit of a block solve (Rigal-Gaches; Higham,
+# Accuracy and Stability of Numerical Algorithms, section 7.1): the
+# Cholesky solves measure up to about 4 eps over 40 random right-hand
+# sides per grid from 9 x 8 to 257 x 1024, so 64 eps leaves a tenfold
+# margin and still rejects a wrong solve.
 BACKWARD_LIMIT = 64 * np.finfo(float).eps
 
 
-def _ring_rows(grid: AnnulusGrid, k: int) -> sp.csr_matrix:
-    """The n_theta finite-difference rows of ring k, over all
-    n_r * n_theta nodes (flat index k * n_theta + m).
-
-    Inside: the conservative form (1/r)(r u_r)_r + u_tt/r^2 = 0 with
-    radial fluxes through the half-node radii r -+ dr/2. On a rim: the
-    half control volume's balance of the boundary flux r*u_nu against
-    the radial flux through the half-node radius r_h and the angular
-    fluxes, scaled so that the row reads u_nu. The outward normal is +r
-    on the outer circle and -r on the inner one, so the inward neighbour
-    is ring k - 1 on the outer circle and ring k + 1 on the inner one.
-    The flux form is energy-symmetric, which makes the alternating
-    iteration nonexpansive."""
-    n_r, n_t = grid.n_r, grid.n_theta
-    dr, dt = grid.dr, grid.dtheta
-    r = grid.radii[k]
-    if 0 < k < n_r - 1:
-        r_p = r + dr / 2
-        r_m = r - dr / 2
-        stencil = (
-            (1, 0, r_p / (dr**2 * r)),
-            (-1, 0, r_m / (dr**2 * r)),
-            (0, 0, -(r_p + r_m) / (dr**2 * r) - 2 / (dt**2 * r**2)),
-            (0, 1, 1 / (dt**2 * r**2)),
-            (0, -1, 1 / (dt**2 * r**2)),
-        )
-    else:
-        inward = -1 if k else 1
-        r_h = r + inward * dr / 2
-        stencil = (
-            (0, 0, r_h / (dr * r) + dr / (dt**2 * r**2)),
-            (inward, 0, -r_h / (dr * r)),
-            (0, 1, -dr / (2 * dt**2 * r**2)),
-            (0, -1, -dr / (2 * dt**2 * r**2)),
-        )
-    m = np.arange(n_t)
-    cols = [(k + dk) * n_t + (m + dm) % n_t for dk, dm, _ in stencil]
-    vals = np.repeat([v for _, _, v in stencil], n_t)
-    rows = np.tile(m, len(stencil))
-    return sp.csr_matrix((vals, (rows, np.concatenate(cols))), shape=(n_t, n_r * n_t))
-
-
 class AnnulusBVPSolver:
-    """Factorized finite-difference operator for the grid's one boundary
-    pattern: Dirichlet data on Gamma_r, both contact nodes included, flux
-    data u_nu on the interior nodes of Gamma_l, and zero flux on
-    Gamma_i."""
+    """Outer traces for the grid's one boundary pattern: Dirichlet data on
+    Gamma_r, both contact nodes included, flux data u_nu on the interior
+    nodes of Gamma_l, and zero flux on Gamma_i.
+
+    The finite-difference scheme, eliminated down to the outer circle, is
+    the circulant Dirichlet-to-flux map Lambda: the outer trace of a
+    discrete harmonic field with zero flux on Gamma_i to the outer rim's
+    flux balance, which reads u_nu. On the Gamma_l block L (Gamma_l
+    without its contact nodes) Lambda is symmetric positive definite and
+    Cholesky-factored once."""
 
     def __init__(self, grid: AnnulusGrid):
         self.grid = grid
-        n_r, n_t = grid.n_r, grid.n_theta
-        n = n_r * n_t
-        rim = (n_r - 1) * n_t
-        gamma_r_nodes = rim + grid.segment_angular_indices(GAMMA_R)
-        # rim scatter for _rhs, Gamma_r then Gamma_l: the flat indices of
-        # the outer nodes each half's data set and their positions in it.
-        # Gamma_r's Dirichlet data own the two contact nodes.
-        self._scatter = (
-            (GAMMA_R, gamma_r_nodes, slice(None)),
-            (GAMMA_L, rim + grid.segment_angular_indices(GAMMA_L)[1:-1], slice(1, -1)),
-        )
-        # each node takes its ring's row, a Gamma_r node its identity row
-        # (row n + i of the stack below) instead
-        rings = [_ring_rows(grid, k) for k in range(n_r)]
-        self._outer_flux = rings[-1]
-        dirichlet = np.zeros(n, dtype=bool)
-        dirichlet[gamma_r_nodes] = True
-        rows = sp.vstack(rings + [sp.eye(n)], format="csr")
-        self._matrix = sp.csc_matrix(rows[np.arange(n) + n * dirichlet])
-        # ||A||_inf, the max row sum of |A|, for the backward-error test;
-        # taken before splu, so the copy |A| is freed before the LU exists
-        self._norm = spla.norm(self._matrix, np.inf)
-        self._lu = spla.splu(self._matrix)
+        n_t = grid.n_theta
+        dr, dt = grid.dr, grid.dtheta
+        r = grid.radii
+        # Every ring's stencil is rotation invariant, so the angular Fourier
+        # modes decouple. For each mode, with lam = 4 sin^2(pi p / n_theta),
+        # a Thomas sweep outward from the inner zero-flux row gives
+        # u_k = q_k u_{k+1}; ell is then the outer rim's flux balance per
+        # unit outer value, the eigenvalue of Lambda.
+        lam = 4 * np.sin(np.pi * np.arange(n_t) / n_t) ** 2
+        b = (r[0] + dr / 2) / (dr * r[0])
+        q = b / (b + dr * lam / (2 * dt**2 * r[0] ** 2))
+        for r_k in r[1:-1]:
+            a = (r_k - dr / 2) / (dr**2 * r_k)
+            c = (r_k + dr / 2) / (dr**2 * r_k)
+            q = c / (a + c + lam / (dt**2 * r_k**2) - a * q)
+        ell = (r[-1] - dr / 2) / (dr * r[-1]) * (1 - q) + dr * lam / (2 * dt**2 * r[-1] ** 2)
+        column = np.fft.ifft(ell).real
+        m = np.arange(n_t)
+        self._dtn = column[(m[:, None] - m) % n_t]
+        # Gamma_r's nodes and Gamma_l's interior nodes, each in arc order
+        self._r = grid.segment_angular_indices(GAMMA_R)
+        self._l = grid.segment_angular_indices(GAMMA_L)[1:-1]
+        self._block = self._dtn[np.ix_(self._l, self._l)]
+        self._coupling = self._dtn[np.ix_(self._l, self._r)]
+        # ||Lambda_LL||_inf, the max row sum, for the backward-error test
+        self._norm = np.abs(self._block).sum(axis=1).max()
+        self._factor = sla.cho_factor(self._block)
 
-    def _rhs(self, data) -> np.ndarray:
-        """Right-hand side for one array (or None) per outer half, Gamma_r
-        then Gamma_l."""
-        g = self.grid
-        rhs = np.zeros(g.n_r * g.n_theta)
-        for (segment, rows, pos), values in zip(self._scatter, data):
-            if values is None:
-                continue
-            if np.shape(values) != (g.n_half + 1,):
-                raise ValueError(
-                    f"{segment} data needs {g.n_half + 1} values, got {np.shape(values)}"
-                )
-            rhs[rows] = np.asarray(values, dtype=float)[pos]
-        return rhs
+    def _block_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Lambda_LL^-1 rhs for a vector or for each column of a matrix,
+        accepted column by column by the normwise backward-error test
+        max|Lambda_LL x - b| <= BACKWARD_LIMIT * (||Lambda_LL||_inf max|x| +
+        max|b|) + tiny; a solve that fails it raises RuntimeError."""
+        x = sla.cho_solve(self._factor, rhs)
+        residual = np.max(np.abs(self._block @ x - rhs), axis=0)
+        # a product, not a ratio, so zero data (x = 0) make no 0/0; below
+        # the smallest normal number (tiny) rounding errors are absolute
+        scale = self._norm * np.max(np.abs(x), axis=0) + np.max(np.abs(rhs), axis=0)
+        if np.any(residual > BACKWARD_LIMIT * scale + np.finfo(float).tiny):
+            raise RuntimeError(
+                f"block residual {np.max(residual):.3e} fails backward-error test"
+            )
+        return x
+
+    def _data(self, segment: str, values) -> np.ndarray:
+        n = self.grid.n_half + 1
+        if values is None:
+            return np.zeros(n)
+        if np.shape(values) != (n,):
+            raise ValueError(f"{segment} data needs {n} values, got {np.shape(values)}")
+        return np.asarray(values, dtype=float)
 
     def solve(self, gamma_r=None, gamma_l=None) -> np.ndarray:
-        """Field u on the grid, shape (n_r, n_theta), for Dirichlet values
+        """Outer trace u at all n_theta angular nodes for Dirichlet values
         gamma_r and fluxes u_nu gamma_l, each at its half's nodes in arc
         order; omitted data are zero. Gamma_l's two contact values are
         ignored, since gamma_r sets those nodes.
 
-        One LU solve per call, accepted by the normwise backward-error
-        test max|A u - rhs| <= BACKWARD_LIMIT * (||A||_inf max|u| +
-        max|rhs|) + tiny; a solve that fails it raises RuntimeError."""
-        rhs = self._rhs((gamma_r, gamma_l))
-        u = self._lu.solve(rhs)
-        residual = np.max(np.abs(self._matrix @ u - rhs))
-        # a product, not a ratio, so zero data (u = 0) make no 0/0; below
-        # the smallest normal number (tiny) rounding errors are absolute
-        scale = self._norm * np.max(np.abs(u)) + np.max(np.abs(rhs))
-        if residual > BACKWARD_LIMIT * scale + np.finfo(float).tiny:
-            raise RuntimeError(f"BVP residual {residual:.3e} fails backward-error test")
-        return u.reshape(self.grid.n_r, self.grid.n_theta)
+        One block solve per call: u_L = Lambda_LL^-1 (g_L - Lambda_LR u_R)."""
+        u_r = self._data(GAMMA_R, gamma_r)
+        g_l = self._data(GAMMA_L, gamma_l)[1:-1]
+        u = np.zeros(self.grid.n_theta)
+        u[self._r] = u_r
+        u[self._l] = self._block_solve(g_l - self._coupling @ u_r)
+        return u
 
-    def outer_normal_derivative(self, field: np.ndarray) -> np.ndarray:
-        """u_r at r = 1 for all angular nodes: the outer rim's flux
-        balance rows, which also impose flux data there, applied to the
-        field (second order for discrete harmonic fields, and adjoint to
-        the imposition, which the alternating iteration relies on)."""
-        return self._outer_flux @ field.ravel()
+    def outer_normal_derivative(self, u: np.ndarray) -> np.ndarray:
+        """u_r at r = 1 for all angular nodes of the discrete harmonic
+        field with outer trace u and zero flux on Gamma_i: Lambda u. It is
+        the same flux balance that imposes flux data on Gamma_l (second
+        order for discrete harmonic fields, and adjoint to the imposition,
+        which the alternating iteration relies on)."""
+        return self._dtn @ u
 
 
 @lru_cache(maxsize=8)
 def grid_solver(grid: AnnulusGrid) -> AnnulusBVPSolver:
-    """The factorized solver for a grid. The matrix does not depend on
-    the data, so each grid is factorized once per process and shared."""
+    """The factorized solver for a grid. Lambda does not depend on the
+    data, so each grid is factorized once per process and shared."""
     return AnnulusBVPSolver(grid)
 
 
@@ -251,7 +231,7 @@ def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     if phi.segment != GAMMA_R:
         raise ValueError("phi must be a Gamma_r trace")
     w = grid_solver(grid).solve(gamma_r=phi.values)
-    return BoundaryTrace(grid, GAMMA_L, w[-1][grid.segment_angular_indices(GAMMA_L)])
+    return BoundaryTrace(grid, GAMMA_L, w[grid.segment_angular_indices(GAMMA_L)])
 
 
 def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
@@ -297,17 +277,18 @@ def correction_functional(
 
 def flux_to_trace_matrix(grid: AnnulusGrid) -> np.ndarray:
     """Dense matrix of the map from Gamma_l flux data to the Gamma_r
-    normal-derivative trace, built column by column from unit fluxes.
+    normal-derivative trace: Lambda_RL Lambda_LL^-1, from one block solve
+    with the identity as its right-hand sides.
 
     The columns for the two contact nodes are zero: the Dirichlet
     condition on Gamma_r owns those nodes, so their flux values never
     enter the solve."""
+    solver = grid_solver(grid)
     n = grid.n_half + 1
     matrix = np.zeros((n, n))
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        matrix[:, j] = apply_A_sharp(grid, BoundaryTrace(grid, GAMMA_L, unit)).values
+    matrix[:, 1:-1] = solver._dtn[np.ix_(solver._r, solver._l)] @ solver._block_solve(
+        np.eye(n - 2)
+    )
     return matrix
 
 
@@ -316,8 +297,8 @@ def flux_to_trace_svd(grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     """Read-only factors (u, s, vt) of np.linalg.svd(flux_to_trace_matrix).
 
     Like the factorizations of grid_solver, they depend only on the
-    grid, so each grid's n_half + 1 column solves and SVD are paid once
-    per process and shared by every sentinel solve."""
+    grid, so each grid's block solve and SVD are paid once per process
+    and shared by every sentinel solve."""
     factors = np.linalg.svd(flux_to_trace_matrix(grid))
     for factor in factors:
         factor.flags.writeable = False
@@ -401,10 +382,10 @@ def kozlov_mazya_solve(
         # step (ii): Dirichlet data g_k on Gamma_l, flux -mu on Gamma_r.
         # The reflection x -> -x, angular node m -> -m (theta -> -theta
         # measured from P1), maps Gamma_l's arc node j onto Gamma_r's arc
-        # node j, and _ring_rows is symmetric in +-dtheta, so this is the
-        # mirrored solve: the same factorization with the halves' data
-        # swapped, read off on Gamma_r.
-        g_k = v[-1][gl_idx]
+        # node j, and Lambda commutes with it (its symbol is even in the
+        # mode p), so this is the mirrored solve: the same factorization
+        # with the halves' data swapped, read off on Gamma_r.
+        g_k = v[gl_idx]
         u = solver.solve(gamma_r=g_k, gamma_l=-mu.values)
         eta = solver.outer_normal_derivative(u)[gr_idx]
     return KozlovMazyaResult(

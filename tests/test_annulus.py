@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from bgrecon import annulus as an
 from bgrecon.cli import table1_rows
 
-# (Gamma_r, Gamma_l, Gamma_i) condition kinds of the solver's boundary
+# (Gamma_r, Gamma_l, Gamma_i) condition kinds of the scheme's boundary
 # pattern and of its mirror image, which step (ii) of the alternating
 # iteration solves. The ids are their places among the seven
 # Dirichlet/Neumann patterns with a Dirichlet part, in
@@ -19,6 +21,110 @@ NEUMANN = "neumann"
 DIRICHLET_R = (DIRICHLET, NEUMANN, NEUMANN)
 DIRICHLET_L = (NEUMANN, DIRICHLET, NEUMANN)
 PATTERNS = [pytest.param(DIRICHLET_R, id="kinds3"), pytest.param(DIRICHLET_L, id="kinds5")]
+
+
+def ring_rows(grid, k):
+    """The n_theta finite-difference rows of ring k, over all
+    n_r * n_theta nodes (flat index k * n_theta + m).
+
+    Inside: the conservative form (1/r)(r u_r)_r + u_tt/r^2 = 0 with
+    radial fluxes through the half-node radii r -+ dr/2. On a rim: the
+    half control volume's balance of the boundary flux r*u_nu against
+    the radial flux through the half-node radius r_h and the angular
+    fluxes, scaled so that the row reads u_nu. The outward normal is +r
+    on the outer circle and -r on the inner one, so the inward neighbour
+    is ring k - 1 on the outer circle and ring k + 1 on the inner one."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    dr, dt = grid.dr, grid.dtheta
+    r = grid.radii[k]
+    if 0 < k < n_r - 1:
+        r_p = r + dr / 2
+        r_m = r - dr / 2
+        stencil = (
+            (1, 0, r_p / (dr**2 * r)),
+            (-1, 0, r_m / (dr**2 * r)),
+            (0, 0, -(r_p + r_m) / (dr**2 * r) - 2 / (dt**2 * r**2)),
+            (0, 1, 1 / (dt**2 * r**2)),
+            (0, -1, 1 / (dt**2 * r**2)),
+        )
+    else:
+        inward = -1 if k else 1
+        r_h = r + inward * dr / 2
+        stencil = (
+            (0, 0, r_h / (dr * r) + dr / (dt**2 * r**2)),
+            (inward, 0, -r_h / (dr * r)),
+            (0, 1, -dr / (2 * dt**2 * r**2)),
+            (0, -1, -dr / (2 * dt**2 * r**2)),
+        )
+    m = np.arange(n_t)
+    cols = [(k + dk) * n_t + (m + dm) % n_t for dk, dm, _ in stencil]
+    vals = np.repeat([v for _, _, v in stencil], n_t)
+    rows = np.tile(m, len(stencil))
+    return sp.csr_matrix((vals, (rows, np.concatenate(cols))), shape=(n_t, n_r * n_t))
+
+
+class FiniteDifferenceOracle:
+    """The finite-difference scheme that defines the solver's
+    Dirichlet-to-flux map, assembled over all n_r * n_theta nodes and
+    solved with a sparse LU: Dirichlet data on Gamma_r, both contact
+    nodes included, flux data on the interior nodes of Gamma_l and zero
+    flux on Gamma_i. Each node takes its ring's row, a Gamma_r node an
+    identity row instead."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        n_r, n_t = grid.n_r, grid.n_theta
+        n = n_r * n_t
+        rim = (n_r - 1) * n_t
+        gamma_r_nodes = rim + grid.segment_angular_indices(an.GAMMA_R)
+        # the flat indices of the outer nodes each half's data set and
+        # their positions in it; Gamma_r's Dirichlet data own the two
+        # contact nodes
+        self._scatter = (
+            (gamma_r_nodes, slice(None)),
+            (rim + grid.segment_angular_indices(an.GAMMA_L)[1:-1], slice(1, -1)),
+        )
+        self._rings = sp.vstack([ring_rows(grid, k) for k in range(n_r)], format="csr")
+        self._outer_flux = self._rings[rim:]
+        dirichlet = np.zeros(n, dtype=bool)
+        dirichlet[gamma_r_nodes] = True
+        rows = sp.vstack([self._rings, sp.eye(n)], format="csr")
+        self._matrix = sp.csc_matrix(rows[np.arange(n) + n * dirichlet])
+        self._lu = spla.splu(self._matrix)
+
+    def _rhs(self, data):
+        """Right-hand side for one array (or None) per outer half,
+        Gamma_r then Gamma_l."""
+        rhs = np.zeros(self.grid.n_r * self.grid.n_theta)
+        for (rows, pos), values in zip(self._scatter, data):
+            if values is not None:
+                rhs[rows] = np.asarray(values, dtype=float)[pos]
+        return rhs
+
+    def solve(self, gamma_r=None, gamma_l=None):
+        """Field u on the grid, shape (n_r, n_theta)."""
+        u = self._lu.solve(self._rhs((gamma_r, gamma_l)))
+        return u.reshape(self.grid.n_r, self.grid.n_theta)
+
+    def outer_normal_derivative(self, field):
+        """u_r at r = 1: the outer rim's flux balance rows applied to the
+        field."""
+        return self._outer_flux @ field.ravel()
+
+    def schur_complement(self):
+        """The outer rim's flux balance of the discrete harmonic field with
+        zero flux on Gamma_i, per unit outer Dirichlet value: the rings
+        below the outer one eliminated from the scheme."""
+        rim = (self.grid.n_r - 1) * self.grid.n_theta
+        inner = sp.csc_matrix(self._rings[:rim, :rim])
+        extension = spla.splu(inner).solve(self._rings[:rim, rim:].toarray())
+        return self._outer_flux[:, rim:].toarray() - self._outer_flux[:, :rim] @ extension
+
+
+@lru_cache(maxsize=8)
+def fd_oracle(grid):
+    return FiniteDifferenceOracle(grid)
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -83,6 +189,7 @@ def test_solve_rejects_wrong_length_data(data):
 
 
 def test_constant_dirichlet_data_gives_constant_field():
+    # the outer trace of the constant field
     g = an.AnnulusGrid(9, 32)
     solver = an.AnnulusBVPSolver(g)
     u = solver.solve(gamma_r=np.full(g.n_half + 1, 2.5))
@@ -104,9 +211,7 @@ def test_dirichlet_data_reproduced_at_nodes():
     vals = np.cos(g.arc_params)
     solver = an.AnnulusBVPSolver(g)
     u = solver.solve(gamma_r=vals)
-    np.testing.assert_allclose(
-        u[-1][g.segment_angular_indices(an.GAMMA_R)], vals, atol=1e-12
-    )
+    np.testing.assert_allclose(u[g.segment_angular_indices(an.GAMMA_R)], vals, atol=1e-12)
 
 
 def harmonic_oracle_error(n_r, n_theta, n):
@@ -117,7 +222,7 @@ def harmonic_oracle_error(n_r, n_theta, n):
     r = g.radii[:, None]
     exact = (r**n + 4.0**-n * r**-n) * np.cos(n * g.thetas)
     flux = n * (1 - 4.0**-n) * np.cos(n * g.thetas)
-    u = an.AnnulusBVPSolver(g).solve(
+    u = FiniteDifferenceOracle(g).solve(
         gamma_r=exact[-1][g.segment_angular_indices(an.GAMMA_R)],
         gamma_l=flux[g.segment_angular_indices(an.GAMMA_L)],
     )
@@ -149,7 +254,7 @@ def log_radius_oracle_error(n_r, n_theta):
         dist2 = (x - px) ** 2 + (y - py) ** 2
         exact += sign * 0.5 * np.log(dist2)
         flux += sign * ((x[-1] - px) * x[-1] + (y[-1] - py) * y[-1]) / dist2[-1]
-    u = an.AnnulusBVPSolver(g).solve(
+    u = FiniteDifferenceOracle(g).solve(
         gamma_r=exact[-1][g.segment_angular_indices(an.GAMMA_R)],
         gamma_l=flux[g.segment_angular_indices(an.GAMMA_L)],
     )
@@ -168,7 +273,7 @@ def test_discrete_maximum_principle():
     # stays within the range of the data
     g = an.AnnulusGrid(17, 64)
     vals = np.random.default_rng(3).uniform(-1.0, 2.0, g.n_half + 1)
-    u = an.AnnulusBVPSolver(g).solve(gamma_r=vals)
+    u = FiniteDifferenceOracle(g).solve(gamma_r=vals)
     assert u.min() >= vals.min() - 1e-8
     assert u.max() <= vals.max() + 1e-8
 
@@ -412,7 +517,7 @@ def test_cached_trace_operators_match_a_fresh_solver():
     np.testing.assert_array_equal(cached.solve(gamma_r=phi), w)
     np.testing.assert_array_equal(
         an.apply_A(g, an.BoundaryTrace(g, an.GAMMA_R, phi)).values,
-        w[-1][g.segment_angular_indices(an.GAMMA_L)],
+        w[g.segment_angular_indices(an.GAMMA_L)],
     )
     psi = np.cos(t) - 0.5
     v = fresh.solve(gamma_l=psi)
@@ -441,15 +546,18 @@ def test_sentinel_psi_matches_an_uncached_tsvd(factorizations):
 
 def test_flux_to_trace_matrix_matches_a_fresh_solver():
     # column j: the Gamma_r normal derivative for a unit flux at node j of
-    # Gamma_l, with v = 0 on Gamma_r and zero flux on the hole
+    # Gamma_l, with v = 0 on Gamma_r and zero flux on the hole, solved
+    # column by column by the finite-difference scheme
     g = an.AnnulusGrid(17, 64)
-    fresh = an.AnnulusBVPSolver(g)
+    oracle = FiniteDifferenceOracle(g)
     gr_idx = g.segment_angular_indices(an.GAMMA_R)
     columns = []
     for unit in np.eye(g.n_half + 1):
-        v = fresh.solve(gamma_l=unit)
-        columns.append(fresh.outer_normal_derivative(v)[gr_idx])
-    np.testing.assert_array_equal(an.flux_to_trace_matrix(g), np.column_stack(columns))
+        v = oracle.solve(gamma_l=unit)
+        columns.append(oracle.outer_normal_derivative(v)[gr_idx])
+    expected = np.column_stack(columns)
+    matrix = an.flux_to_trace_matrix(g)
+    assert np.max(np.abs(matrix - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch):
@@ -463,11 +571,14 @@ def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch
         return original(self, **data)
 
     monkeypatch.setattr(an.AnnulusBVPSolver, "solve", counting)
+    # the flux-to-trace matrix is one block solve on the grid's factor,
+    # made once, so no sentinel solve calls the BVP solve
     an.solve_sentinel_equation(g, mu)
-    assert len(calls) == g.n_half + 1
-    calls.clear()
+    assert calls == []
+    assert factorizations == [g]
     an.solve_sentinel_equation(an.AnnulusGrid(17, 64), mu)
     assert calls == []
+    assert factorizations == [g]
 
 
 def test_cached_tsvd_factors_are_read_only(factorizations):
@@ -504,54 +615,57 @@ def rhs_by_node(grid, kinds, data):
 @pytest.mark.parametrize("kinds", PATTERNS)
 def test_rhs_scatter_matches_node_by_node(kinds):
     g = an.AnnulusGrid(9, 16)
-    solver = an.AnnulusBVPSolver(g)
+    oracle = FiniteDifferenceOracle(g)
     rng = np.random.default_rng(5)
     # distinct values at the contact nodes on each half, so ownership shows
     data = tuple(rng.uniform(-1.0, 1.0, g.n_half + 1) for _ in range(2))
     if kinds == DIRICHLET_R:
-        rhs = solver._rhs(data)
+        rhs = oracle._rhs(data)
     else:
         # the mirrored solve takes Gamma_l's Dirichlet data as gamma_r and
         # Gamma_r's fluxes as gamma_l
-        rhs = solver._rhs(data[::-1])[mirror_nodes(g)]
+        rhs = oracle._rhs(data[::-1])[mirror_nodes(g)]
     np.testing.assert_array_equal(rhs, rhs_by_node(g, kinds, data))
 
 
-class _OffsetLU:
-    """LU stand-in whose solves are off by a fixed relative error, and
-    which counts its solves."""
-
-    def __init__(self, lu, error=0.0):
-        self.lu, self.error, self.calls = lu, error, 0
-
-    def solve(self, rhs):
-        self.calls += 1
-        return self.lu.solve(rhs) * (1.0 + self.error)
+# The solver's factor is the Cholesky factorization Lambda_LL = C C^T,
+# the symmetric form of LU; the two tests below keep their LU names.
 
 
 def test_fine_grid_solve_is_one_lu_solve_within_the_bound(monkeypatch):
-    # Data on which the plain LU solve at 65 x 256 leaves a residual of
-    # 2.2e-10 (|A| ~ 9e4, |u| ~ 2.6): a few eps * |A| |u|, so accepted
-    # as it is, with no second triangular solve.
+    # Data on which the Cholesky solve at 65 x 256 leaves a residual of
+    # 9.5e-14 (||Lambda_LL||_inf ~ 107, |u_L| ~ 2.6): 1.5 eps *
+    # ||Lambda_LL|| |u_L|, so accepted as it is, with one solve.
     g = an.AnnulusGrid(65, 256)
     t = g.arc_params
     flux = 1.0 - 0.09746079213710429 * np.cos(t) + 0.023852225648510084 * np.sin(2 * t)
     solver = an.grid_solver(g)
-    counting = _OffsetLU(solver._lu)
-    monkeypatch.setattr(solver, "_lu", counting)
-    u = solver.solve(gamma_l=flux).ravel()
-    assert counting.calls == 1
-    rhs = solver._rhs((None, flux))
-    norm = abs(solver._matrix).sum(axis=1).max()
-    bound = an.BACKWARD_LIMIT * (norm * np.max(np.abs(u)) + np.max(np.abs(rhs)))
-    assert np.max(np.abs(solver._matrix @ u - rhs)) <= bound
+    calls = []
+    cho_solve = an.sla.cho_solve
+
+    def counting(factor, rhs):
+        calls.append(rhs)
+        return cho_solve(factor, rhs)
+
+    monkeypatch.setattr(an.sla, "cho_solve", counting)
+    u = solver.solve(gamma_l=flux)
+    assert len(calls) == 1
+    l_nodes = g.segment_angular_indices(an.GAMMA_L)[1:-1]
+    block = solver._dtn[np.ix_(l_nodes, l_nodes)]
+    u_l, rhs = u[l_nodes], flux[1:-1]
+    norm = np.abs(block).sum(axis=1).max()
+    bound = an.BACKWARD_LIMIT * (norm * np.max(np.abs(u_l)) + np.max(np.abs(rhs)))
+    assert np.max(np.abs(block @ u_l - rhs)) <= bound
 
 
 @pytest.mark.parametrize("error", [1e-9, 1e-6, 0.5])
 def test_solve_rejects_an_inaccurate_lu(error):
+    # a factor scaled by 1 + error makes every solve off by the relative
+    # error (1 + error)^-2 - 1
     g = an.AnnulusGrid(9, 16)
     solver = an.AnnulusBVPSolver(g)
-    solver._lu = _OffsetLU(solver._lu, error)
+    c, lower = solver._factor
+    solver._factor = (c * (1.0 + error), lower)
     with pytest.raises(RuntimeError, match="fails backward-error test"):
         solver.solve(gamma_r=np.cos(g.arc_params))
 
@@ -635,7 +749,7 @@ def pattern_matrix(solver, kinds):
 @pytest.mark.parametrize("kinds", PATTERNS)
 def test_matrix_matches_node_by_node(kinds, shape):
     g = an.AnnulusGrid(*shape)
-    assert_same_csc(pattern_matrix(an.AnnulusBVPSolver(g), kinds), matrix_by_node(g, kinds))
+    assert_same_csc(pattern_matrix(FiniteDifferenceOracle(g), kinds), matrix_by_node(g, kinds))
 
 
 @pytest.mark.parametrize("kinds", PATTERNS)
@@ -644,13 +758,13 @@ def test_outer_neumann_rows_are_the_read_off_rows(kinds):
     # in the mirrored pattern too, as the ring rows are symmetric in
     # +-dtheta
     g = an.AnnulusGrid(9, 16)
-    solver = an.AnnulusBVPSolver(g)
-    rows = pattern_matrix(solver, kinds).tocsr()
+    oracle = FiniteDifferenceOracle(g)
+    rows = pattern_matrix(oracle, kinds).tocsr()
     neumann = [m for m in range(g.n_theta) if outer_kind_by_node(g, kinds, m) == NEUMANN]
     assert len(neumann) == g.n_half - 1
     for m in neumann:
         np.testing.assert_array_equal(
-            rows[(g.n_r - 1) * g.n_theta + m].toarray(), solver._outer_flux[m].toarray()
+            rows[(g.n_r - 1) * g.n_theta + m].toarray(), oracle._outer_flux[m].toarray()
         )
 
 
@@ -667,20 +781,27 @@ def normal_derivative_by_roll(grid, field):
 
 @pytest.mark.parametrize("shape", [(9, 16), (17, 64), (65, 256)])
 def test_read_off_matches_the_rolled_flux_balance(shape):
+    # the scheme's read-off rows on any field, and Lambda on the outer
+    # trace of a solved field, which the rows read there too
     g = an.AnnulusGrid(*shape)
-    solver = an.grid_solver(g)
+    oracle = fd_oracle(g)
     rng = np.random.default_rng(3)
-    for field in (
-        rng.uniform(-1.0, 1.0, (g.n_r, g.n_theta)),
-        solver.solve(gamma_l=rng.uniform(-1.0, 1.0, g.n_half + 1)),
-    ):
-        expected = normal_derivative_by_roll(g, field)
-        np.testing.assert_allclose(
-            solver.outer_normal_derivative(field),
-            expected,
-            rtol=0,
-            atol=1e-13 * np.max(np.abs(expected)),
-        )
+    field = rng.uniform(-1.0, 1.0, (g.n_r, g.n_theta))
+    expected = normal_derivative_by_roll(g, field)
+    np.testing.assert_allclose(
+        oracle.outer_normal_derivative(field),
+        expected,
+        rtol=0,
+        atol=1e-13 * np.max(np.abs(expected)),
+    )
+    field = oracle.solve(gamma_l=rng.uniform(-1.0, 1.0, g.n_half + 1))
+    expected = normal_derivative_by_roll(g, field)
+    np.testing.assert_allclose(
+        an.grid_solver(g).outer_normal_derivative(field[-1]),
+        expected,
+        rtol=0,
+        atol=1e-13 * np.max(np.abs(expected)),
+    )
 
 
 def gamma_l_dirichlet_eta(grid, g_k, mu):
@@ -707,8 +828,83 @@ def test_mirrored_step_matches_a_gamma_l_dirichlet_solve(shape):
     # step (i) of the second round: the Gamma_l trace g_1 of the field
     # with flux eta_1 on Gamma_l and v = 0 on Gamma_r
     v = an.grid_solver(g).solve(gamma_l=one.psi.values)
-    expected = gamma_l_dirichlet_eta(g, v[-1][g.segment_angular_indices(an.GAMMA_L)], mu.values)
+    expected = gamma_l_dirichlet_eta(g, v[g.segment_angular_indices(an.GAMMA_L)], mu.values)
     assert np.max(np.abs(two.psi.values - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (17, 64), (33, 128), (65, 256)])
+def test_dirichlet_to_flux_map_is_the_schur_complement(shape):
+    g = an.AnnulusGrid(*shape)
+    expected = fd_oracle(g).schur_complement()
+    dtn = an.grid_solver(g)._dtn
+    assert np.max(np.abs(dtn - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (17, 64), (65, 256)])
+def test_dirichlet_to_flux_map_is_symmetric_and_annihilates_constants(shape):
+    dtn = an.grid_solver(an.AnnulusGrid(*shape))._dtn
+    rounding = 100 * np.finfo(float).eps * np.max(np.abs(dtn))
+    assert np.max(np.abs(dtn - dtn.T)) <= rounding
+    assert np.max(np.abs(dtn @ np.ones(len(dtn)))) <= rounding
+
+
+@lru_cache(maxsize=4)
+def fd_trace_maps(grid):
+    """Dense matrices of the finite-difference scheme's outer trace and
+    outer u_nu, over all angular nodes, as linear maps of the data
+    (gamma_r, gamma_l) stacked."""
+    oracle = fd_oracle(grid)
+    n = grid.n_half + 1
+    traces, fluxes = [], []
+    for unit in np.eye(2 * n):
+        field = oracle.solve(gamma_r=unit[:n], gamma_l=unit[n:])
+        traces.append(field[-1])
+        fluxes.append(oracle.outer_normal_derivative(field))
+    return np.column_stack(traces), np.column_stack(fluxes)
+
+
+def assert_agrees(actual, matrix, x):
+    """actual = matrix @ x to 1e-9 relative to the rounding scale
+    |matrix| |x|, which also holds where matrix @ x cancels to zero."""
+    scale = np.max(np.abs(matrix) @ np.abs(x))
+    assert np.max(np.abs(actual - matrix @ x)) <= 1e-9 * scale
+
+
+@given(
+    st.sampled_from((an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64), an.AnnulusGrid(33, 128))),
+    st.data(),
+)
+def test_trace_operators_agree_with_the_finite_difference_scheme(g, data):
+    elements = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+    right, left = (data.draw(hnp.arrays(float, g.n_half + 1, elements=elements)) for _ in range(2))
+    trace_map, flux_map = fd_trace_maps(g)
+    n = g.n_half + 1
+    gr_idx = g.segment_angular_indices(an.GAMMA_R)
+    gl_idx = g.segment_angular_indices(an.GAMMA_L)
+    zero = np.zeros(n)
+    # A: Dirichlet data on Gamma_r, trace on Gamma_l
+    a_phi = an.apply_A(g, an.BoundaryTrace(g, an.GAMMA_R, right)).values
+    assert_agrees(a_phi, trace_map[gl_idx], np.concatenate([right, zero]))
+    # A_sharp: flux on Gamma_l, u_nu on Gamma_r
+    a_sharp_psi = an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, left)).values
+    assert_agrees(a_sharp_psi, flux_map[gr_idx], np.concatenate([zero, left]))
+    # the mirrored step: Dirichlet data `left` on Gamma_l, flux `right` on
+    # Gamma_r, u_nu on Gamma_l; in the solver's frame, the halves swapped
+    solver = an.grid_solver(g)
+    step = solver.outer_normal_derivative(solver.solve(gamma_r=left, gamma_l=right))
+    assert_agrees(step[gr_idx], flux_map[gr_idx], np.concatenate([left, right]))
+    # one Kozlov-Maz'ya step, eta_1 -> eta_2, for the data mu = right:
+    # step (i) then the mirrored step (ii), composed from the scheme's maps
+    mu = an.BoundaryTrace(g, an.GAMMA_R, right)
+    # a negative tolerance runs both steps, also for zero data
+    result = an.kozlov_mazya_solve(g, mu, max_iter=2, tol=-1.0, keep_iterates=(1,))
+    eta_1 = result.iterates[0][1].values
+    step_i = trace_map[np.ix_(gl_idx, range(n, 2 * n))]
+    step_ii = flux_map[gr_idx]
+    composed = np.hstack([step_ii[:, :n] @ step_i, step_ii[:, n:]])
+    scale = np.abs(step_ii[:, :n]) @ np.abs(step_i) @ np.abs(eta_1) + np.abs(step_ii[:, n:]) @ np.abs(right)
+    dev = np.abs(result.psi.values - composed @ np.concatenate([eta_1, -right]))
+    assert np.max(dev) <= 1e-9 * np.max(scale)
 
 
 GRIDS = (an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64))
@@ -761,7 +957,7 @@ def test_pairing_depends_only_on_endpoint_values(case):
 
 @given(st.sampled_from(GRIDS), st.sampled_from((1.0, 1e-310)), st.data())
 def test_solve_accepts_random_data(g, scale, data):
-    # a plain LU solve is backward stable, so it always meets the bound,
+    # a Cholesky solve is backward stable, so it always meets the bound,
     # also on data scaled into the subnormal range
     elements = st.floats(-1.0, 1.0)
     halves = [

@@ -1,6 +1,9 @@
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,24 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     for name in os.listdir(out1):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+
+@pytest.mark.parametrize("experiment", ["table1", "fig6"])
+def test_annulus_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, experiment):
+    # the annulus solves and the sentinel SVD are dense BLAS and LAPACK
+    # calls; their artifacts must be the same bytes on 1 and 2 threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        command = [sys.executable, "-m", "bgrecon.cli", experiment, "--out", str(out)]
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 def test_fig3_slopes_artifact(tmp_path):
     # restrict the sweep through the public helper to keep this cheap
