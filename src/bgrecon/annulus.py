@@ -17,11 +17,12 @@ the rings are rotation invariant, so eliminating the inner and interior
 rings (an exact Schur complement, the capacitance-matrix idea of Buzbee,
 Dorr, George & Golub 1971) leaves a circulant map Lambda from the outer
 Dirichlet trace to the outer flux balance. Lambda is what runs: its
-eigenvalues come from one Thomas sweep per angular Fourier mode, and each
-solve is one Cholesky solve on Lambda's Gamma_l block. On top of that sit
-the trace-to-trace operators A and A_sharp, the endpoint-correction
-functional, the alternating Kozlov-Maz'ya iteration, and sentinel
-reconstruction.
+eigenvalues come from one Thomas sweep per angular Fourier mode, and one
+checked multi-right-hand-side solve on Lambda's Gamma_l block per grid
+gives every outer operator as a dense matrix. On top of that sit the
+trace-to-trace operators A and A_sharp, the endpoint-correction
+functional, the alternating Kozlov-Maz'ya iteration (an affine map on
+Gamma_l fluxes) and sentinel reconstruction.
 
 Boundary traces live on the outer halves only and are parameterized by
 the arc angle t in [0, pi] measured from P1 (so t coincides with arc
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 R_INNER = 0.5
 R_OUTER = 1.0
@@ -122,10 +122,14 @@ class BoundaryTrace:
 
 
 # Normwise backward-error limit of a block solve (Rigal-Gaches; Higham,
-# Accuracy and Stability of Numerical Algorithms, section 7.1): the
-# Cholesky solves measure up to about 4 eps over 40 random right-hand
-# sides per grid from 9 x 8 to 257 x 1024, so 64 eps leaves a tenfold
-# margin and still rejects a wrong solve.
+# Accuracy and Stability of Numerical Algorithms, section 7.1). Solves
+# are products with the explicit inverse X below, which is not backward
+# stable in general; on these well-conditioned blocks (cond(Lambda_LL)
+# from 4.3 at 9 x 8 to 380 at 129 x 512 and 760 at 257 x 1024) they
+# measure at most 0.84 eps at 9 x 8, 3.9 eps at 129 x 512 and 3.6 eps at
+# 257 x 1024 over 40 random right-hand sides per grid, and X's own
+# columns at most 5 eps, so 64 eps leaves a tenfold margin and still
+# rejects a wrong solve.
 BACKWARD_LIMIT = 64 * np.finfo(float).eps
 
 
@@ -138,8 +142,11 @@ class AnnulusBVPSolver:
     the circulant Dirichlet-to-flux map Lambda: the outer trace of a
     discrete harmonic field with zero flux on Gamma_i to the outer rim's
     flux balance, which reads u_nu. On the Gamma_l block L (Gamma_l
-    without its contact nodes) Lambda is symmetric positive definite and
-    Cholesky-factored once."""
+    without its contact nodes) Lambda is symmetric positive definite. One
+    multi-right-hand-side solve X = Lambda_LL^-1 [I | Lambda_LR], with
+    blocks X_I and X_C, is made once and accepted column by column; every
+    outer operator is a product with its blocks, so a solve is two
+    matrix-vector products."""
 
     def __init__(self, grid: AnnulusGrid):
         self.grid = grid
@@ -169,14 +176,26 @@ class AnnulusBVPSolver:
         self._coupling = self._dtn[np.ix_(self._l, self._r)]
         # ||Lambda_LL||_inf, the max row sum, for the backward-error test
         self._norm = np.abs(self._block).sum(axis=1).max()
-        self._factor = sla.cho_factor(self._block)
+        n_l = len(self._l)
+        rhs = np.hstack([np.eye(n_l), self._coupling])
+        x = np.linalg.solve(self._block, rhs)
+        self._accept(x, rhs)
+        self._x_i, self._x_c = x[:, :n_l], x[:, n_l:]
+        # Gamma_l flux to Gamma_r flux with zero Dirichlet data on Gamma_r,
+        # F = Lambda_RL X_I, and Gamma_r Dirichlet data to Gamma_r flux with
+        # zero flux on Gamma_l, S = Lambda_RR - Lambda_RL X_C. F's contact
+        # columns are zero: Gamma_r's Dirichlet data own those nodes.
+        dtn_rl = self._dtn[np.ix_(self._r, self._l)]
+        n = len(self._r)
+        self._flux_to_trace = np.zeros((n, n))
+        self._flux_to_trace[:, 1:-1] = dtn_rl @ self._x_i
+        self._dirichlet_to_flux = self._dtn[np.ix_(self._r, self._r)] - dtn_rl @ self._x_c
 
-    def _block_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Lambda_LL^-1 rhs for a vector or for each column of a matrix,
-        accepted column by column by the normwise backward-error test
-        max|Lambda_LL x - b| <= BACKWARD_LIMIT * (||Lambda_LL||_inf max|x| +
-        max|b|) + tiny; a solve that fails it raises RuntimeError."""
-        x = sla.cho_solve(self._factor, rhs)
+    def _accept(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """Raise RuntimeError unless x, a vector or each column of a matrix,
+        passes the normwise backward-error test for Lambda_LL x = rhs:
+        max|Lambda_LL x - rhs| <= BACKWARD_LIMIT * (||Lambda_LL||_inf max|x|
+        + max|rhs|) + tiny."""
         residual = np.max(np.abs(self._block @ x - rhs), axis=0)
         # a product, not a ratio, so zero data (x = 0) make no 0/0; below
         # the smallest normal number (tiny) rounding errors are absolute
@@ -185,7 +204,6 @@ class AnnulusBVPSolver:
             raise RuntimeError(
                 f"block residual {np.max(residual):.3e} fails backward-error test"
             )
-        return x
 
     def _data(self, segment: str, values) -> np.ndarray:
         n = self.grid.n_half + 1
@@ -201,12 +219,15 @@ class AnnulusBVPSolver:
         order; omitted data are zero. Gamma_l's two contact values are
         ignored, since gamma_r sets those nodes.
 
-        One block solve per call: u_L = Lambda_LL^-1 (g_L - Lambda_LR u_R)."""
+        u_L = X_I g_L - X_C u_R, accepted by the backward-error test
+        against Lambda_LL u_L = g_L - Lambda_LR u_R."""
         u_r = self._data(GAMMA_R, gamma_r)
         g_l = self._data(GAMMA_L, gamma_l)[1:-1]
+        u_l = self._x_i @ g_l - self._x_c @ u_r
+        self._accept(u_l, g_l - self._coupling @ u_r)
         u = np.zeros(self.grid.n_theta)
         u[self._r] = u_r
-        u[self._l] = self._block_solve(g_l - self._coupling @ u_r)
+        u[self._l] = u_l
         return u
 
     def outer_normal_derivative(self, u: np.ndarray) -> np.ndarray:
@@ -220,8 +241,8 @@ class AnnulusBVPSolver:
 
 @lru_cache(maxsize=8)
 def grid_solver(grid: AnnulusGrid) -> AnnulusBVPSolver:
-    """The factorized solver for a grid. Lambda does not depend on the
-    data, so each grid is factorized once per process and shared."""
+    """The solver for a grid. Lambda and its block solve do not depend on
+    the data, so each grid's solver is built once per process and shared."""
     return AnnulusBVPSolver(grid)
 
 
@@ -277,28 +298,21 @@ def correction_functional(
 
 def flux_to_trace_matrix(grid: AnnulusGrid) -> np.ndarray:
     """Dense matrix of the map from Gamma_l flux data to the Gamma_r
-    normal-derivative trace: Lambda_RL Lambda_LL^-1, from one block solve
-    with the identity as its right-hand sides.
+    normal-derivative trace: a copy of the grid solver's Lambda_RL X_I.
 
     The columns for the two contact nodes are zero: the Dirichlet
     condition on Gamma_r owns those nodes, so their flux values never
     enter the solve."""
-    solver = grid_solver(grid)
-    n = grid.n_half + 1
-    matrix = np.zeros((n, n))
-    matrix[:, 1:-1] = solver._dtn[np.ix_(solver._r, solver._l)] @ solver._block_solve(
-        np.eye(n - 2)
-    )
-    return matrix
+    return grid_solver(grid)._flux_to_trace.copy()
 
 
 @lru_cache(maxsize=8)
 def flux_to_trace_svd(grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only factors (u, s, vt) of np.linalg.svd(flux_to_trace_matrix).
 
-    Like the factorizations of grid_solver, they depend only on the
-    grid, so each grid's block solve and SVD are paid once per process
-    and shared by every sentinel solve."""
+    Like grid_solver's block solve, they depend only on the grid, so
+    each grid's SVD is paid once per process and shared by every
+    sentinel solve."""
     factors = np.linalg.svd(flux_to_trace_matrix(grid))
     for factor in factors:
         factor.flags.writeable = False
@@ -348,27 +362,35 @@ def kozlov_mazya_solve(
     on Gamma_r, v_nu = 0 on Gamma_i; the unknown is psi = v_nu on
     Gamma_l. Step (i) propagates a Neumann guess eta_k on Gamma_l to a
     Dirichlet trace g_k there; step (ii) solves with g_k and the Cauchy
-    data -mu, and reads off the updated eta_{k+1}.
+    data -mu, and reads off the updated eta_{k+1}. Both steps are linear
+    in the data, so the iteration is the affine map
+    eta_{k+1} = S G eta_k - F mu of the grid solver's matrices, and makes
+    no solve.
 
-    residuals[k] = ||A_sharp(eta_k) + mu||_inf; a residual that fails to
-    decrease over 10 consecutive steps flags probable inconsistency
-    (mu outside the range of A_sharp).
+    residuals[k] = ||A_sharp(eta_k) + mu||_inf = ||F eta_k + mu||_inf; a
+    residual that fails to decrease over 10 consecutive steps flags
+    probable inconsistency (mu outside the range of A_sharp).
     """
     if mu.segment != GAMMA_R:
         raise ValueError("mu must be a Gamma_r trace")
     solver = grid_solver(grid)
-    gl_idx = grid.segment_angular_indices(GAMMA_L)
-    gr_idx = grid.segment_angular_indices(GAMMA_R)
+    flux_to_trace = solver._flux_to_trace
+    # Step (ii) solves the pattern with the halves swapped. The reflection
+    # x -> -x, angular node m -> -m (theta -> -theta measured from P1),
+    # maps Gamma_l's arc node j onto Gamma_r's arc node j, and Lambda
+    # commutes with it (its symbol is even in the mode p), so it is S on
+    # the mirrored trace g_k. Step (i)'s trace g_k = G eta_k is X_I eta_k
+    # on the interior nodes and zero at the contacts, which Gamma_r's zero
+    # Dirichlet data own, so S reads only its interior columns.
+    mirrored = solver._dirichlet_to_flux[:, 1:-1]
+    shift = flux_to_trace @ mu.values
     eta = np.zeros(grid.n_half + 1)
     residuals = []
     iterates = []
     inconsistent = False
     converged = False
     for k in range(max_iter + 1):
-        # step (i): Neumann data eta on Gamma_l, v = 0 on Gamma_r
-        v = solver.solve(gamma_l=eta)
-        vn_outer = solver.outer_normal_derivative(v)
-        residual = float(np.max(np.abs(vn_outer[gr_idx] + mu.values)))
+        residual = float(np.max(np.abs(flux_to_trace @ eta + mu.values)))
         residuals.append(residual)
         if k in keep_iterates:
             iterates.append((k, BoundaryTrace(grid, GAMMA_L, eta.copy())))
@@ -379,15 +401,7 @@ def kozlov_mazya_solve(
             inconsistent = True
         if k == max_iter:
             break
-        # step (ii): Dirichlet data g_k on Gamma_l, flux -mu on Gamma_r.
-        # The reflection x -> -x, angular node m -> -m (theta -> -theta
-        # measured from P1), maps Gamma_l's arc node j onto Gamma_r's arc
-        # node j, and Lambda commutes with it (its symbol is even in the
-        # mode p), so this is the mirrored solve: the same factorization
-        # with the halves' data swapped, read off on Gamma_r.
-        g_k = v[gl_idx]
-        u = solver.solve(gamma_r=g_k, gamma_l=-mu.values)
-        eta = solver.outer_normal_derivative(u)[gr_idx]
+        eta = mirrored @ (solver._x_i @ eta[1:-1]) - shift
     return KozlovMazyaResult(
         BoundaryTrace(grid, GAMMA_L, eta),
         np.asarray(residuals),

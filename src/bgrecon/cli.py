@@ -20,6 +20,14 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+# One BLAS thread, set before numpy loads its BLAS: with more, the dense
+# LAPACK calls of the moment solves round differently (fig2's CSVs change
+# with the thread count), and the small dense annulus products run 10-60x
+# slower on a 2-core host.
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
+
 import numpy as np
 
 from . import annulus
@@ -47,7 +55,7 @@ HONOURED = {"fig2": PARAMETERS}
 # How the manifest writes the float parameters; n and seed are integers.
 _FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in about 6 s and 180 MB; a much
+# (N = 25..400). fig2 at N = 1000 runs in 6-7 s and 155 MB; a much
 # larger N would only fail to allocate its grid.
 N_MAX = 1000
 

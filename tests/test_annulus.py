@@ -493,8 +493,8 @@ def test_table1_factorizes_once(factorizations):
 
 
 def test_kozlov_mazya_factorizes_each_pattern_once(factorizations):
-    # steps (i) and (ii) solve mirror-image patterns on the grid's one
-    # factorization
+    # steps (i) and (ii) solve mirror-image patterns, both read from the
+    # grid's one solver
     g = an.AnnulusGrid(9, 16)
     mu = an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1))
     first = an.kozlov_mazya_solve(g, mu, max_iter=5)
@@ -560,19 +560,25 @@ def test_flux_to_trace_matrix_matches_a_fresh_solver():
     assert np.max(np.abs(matrix - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
-def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch):
-    g = an.AnnulusGrid(17, 64)
-    mu = an.BoundaryTrace(g, an.GAMMA_R, np.sin(g.arc_params))
+def count_bvp_solves(monkeypatch):
+    """Record the data of every AnnulusBVPSolver.solve call from here on."""
     calls = []
     original = an.AnnulusBVPSolver.solve
 
-    def counting(self, **data):
-        calls.append(data)
-        return original(self, **data)
+    def counting(self, *args, **data):
+        calls.append((args, data))
+        return original(self, *args, **data)
 
     monkeypatch.setattr(an.AnnulusBVPSolver, "solve", counting)
-    # the flux-to-trace matrix is one block solve on the grid's factor,
-    # made once, so no sentinel solve calls the BVP solve
+    return calls
+
+
+def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch):
+    g = an.AnnulusGrid(17, 64)
+    mu = an.BoundaryTrace(g, an.GAMMA_R, np.sin(g.arc_params))
+    calls = count_bvp_solves(monkeypatch)
+    # the flux-to-trace matrix is built with the grid's solver, once, so
+    # no sentinel solve calls the BVP solve
     an.solve_sentinel_equation(g, mu)
     assert calls == []
     assert factorizations == [g]
@@ -628,28 +634,30 @@ def test_rhs_scatter_matches_node_by_node(kinds):
     np.testing.assert_array_equal(rhs, rhs_by_node(g, kinds, data))
 
 
-# The solver's factor is the Cholesky factorization Lambda_LL = C C^T,
-# the symmetric form of LU; the two tests below keep their LU names.
+# The solver's one linear solve is the per-grid X = Lambda_LL^-1
+# [I | Lambda_LR]; a solve call is products with X's blocks. The two
+# tests below keep their LU names.
 
 
 def test_fine_grid_solve_is_one_lu_solve_within_the_bound(monkeypatch):
-    # Data on which the Cholesky solve at 65 x 256 leaves a residual of
-    # 9.5e-14 (||Lambda_LL||_inf ~ 107, |u_L| ~ 2.6): 1.5 eps *
-    # ||Lambda_LL|| |u_L|, so accepted as it is, with one solve.
+    # Data on which the product with X at 65 x 256 leaves a residual of
+    # 1.1e-13 (||Lambda_LL||_inf ~ 107, |u_L| ~ 2.6): 1.7 eps *
+    # ||Lambda_LL|| |u_L|, so accepted, with no linear solve on a built
+    # solver.
     g = an.AnnulusGrid(65, 256)
     t = g.arc_params
     flux = 1.0 - 0.09746079213710429 * np.cos(t) + 0.023852225648510084 * np.sin(2 * t)
     solver = an.grid_solver(g)
     calls = []
-    cho_solve = an.sla.cho_solve
+    linear_solve = np.linalg.solve
 
-    def counting(factor, rhs):
-        calls.append(rhs)
-        return cho_solve(factor, rhs)
+    def counting(*args):
+        calls.append(args)
+        return linear_solve(*args)
 
-    monkeypatch.setattr(an.sla, "cho_solve", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting)
     u = solver.solve(gamma_l=flux)
-    assert len(calls) == 1
+    assert calls == []
     l_nodes = g.segment_angular_indices(an.GAMMA_L)[1:-1]
     block = solver._dtn[np.ix_(l_nodes, l_nodes)]
     u_l, rhs = u[l_nodes], flux[1:-1]
@@ -660,14 +668,29 @@ def test_fine_grid_solve_is_one_lu_solve_within_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("error", [1e-9, 1e-6, 0.5])
 def test_solve_rejects_an_inaccurate_lu(error):
-    # a factor scaled by 1 + error makes every solve off by the relative
-    # error (1 + error)^-2 - 1
+    # X's blocks scaled by 1 + error make every solve off by that
+    # relative error
     g = an.AnnulusGrid(9, 16)
     solver = an.AnnulusBVPSolver(g)
-    c, lower = solver._factor
-    solver._factor = (c * (1.0 + error), lower)
+    solver._x_i = solver._x_i * (1.0 + error)
+    solver._x_c = solver._x_c * (1.0 + error)
     with pytest.raises(RuntimeError, match="fails backward-error test"):
         solver.solve(gamma_r=np.cos(g.arc_params))
+
+
+def test_build_rejects_an_inaccurate_block_solve(monkeypatch):
+    # the per-grid solve is tested column by column: one column of the
+    # coupling block off by 1e-9 fails the build
+    linear_solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = linear_solve(a, b)
+        x[:, -1] *= 1.0 + 1e-9
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(RuntimeError, match="fails backward-error test"):
+        an.AnnulusBVPSolver(an.AnnulusGrid(9, 16))
 
 
 def outer_kind_by_node(grid, kinds, m):
@@ -832,6 +855,40 @@ def test_mirrored_step_matches_a_gamma_l_dirichlet_solve(shape):
     assert np.max(np.abs(two.psi.values - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
+def two_solve_kozlov_mazya(grid, mu, max_iter):
+    """The alternating iteration as two BVP solves per step, each read off
+    with Lambda: step (i) with flux eta on Gamma_l and zero Dirichlet data
+    on Gamma_r, step (ii) mirrored, with step (i)'s Gamma_l trace as the
+    Dirichlet data and the flux -mu. Returns the residuals and the last
+    eta."""
+    solver = an.grid_solver(grid)
+    gl_idx = grid.segment_angular_indices(an.GAMMA_L)
+    gr_idx = grid.segment_angular_indices(an.GAMMA_R)
+    eta = np.zeros(grid.n_half + 1)
+    residuals = []
+    for k in range(max_iter + 1):
+        v = solver.solve(gamma_l=eta)
+        residuals.append(np.max(np.abs(solver.outer_normal_derivative(v)[gr_idx] + mu)))
+        if k == max_iter:
+            return np.array(residuals), eta
+        u = solver.solve(gamma_r=v[gl_idx], gamma_l=-mu)
+        eta = solver.outer_normal_derivative(u)[gr_idx]
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (17, 64), (33, 128)])
+def test_affine_iteration_matches_the_two_solve_loop(shape, monkeypatch):
+    g = an.AnnulusGrid(*shape)
+    t = g.arc_params
+    psi_bar = an.BoundaryTrace(g, an.GAMMA_L, 1.0 + np.cos(t) + 0.3 * np.sin(2 * t))
+    mu = an.BoundaryTrace(g, an.GAMMA_R, -an.apply_A_sharp(g, psi_bar).values)
+    residuals, psi = two_solve_kozlov_mazya(g, mu.values, 100)
+    calls = count_bvp_solves(monkeypatch)
+    result = an.kozlov_mazya_solve(g, mu, max_iter=100, tol=0.0)
+    assert calls == []
+    assert np.max(np.abs(result.residuals - residuals)) <= 1e-12 * np.max(residuals)
+    assert np.max(np.abs(result.psi.values - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
 @pytest.mark.parametrize("shape", [(9, 8), (17, 64), (33, 128), (65, 256)])
 def test_dirichlet_to_flux_map_is_the_schur_complement(shape):
     g = an.AnnulusGrid(*shape)
@@ -957,7 +1014,7 @@ def test_pairing_depends_only_on_endpoint_values(case):
 
 @given(st.sampled_from(GRIDS), st.sampled_from((1.0, 1e-310)), st.data())
 def test_solve_accepts_random_data(g, scale, data):
-    # a Cholesky solve is backward stable, so it always meets the bound,
+    # products with X meet the bound on these well-conditioned blocks,
     # also on data scaled into the subnormal range
     elements = st.floats(-1.0, 1.0)
     halves = [

@@ -253,23 +253,69 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def checkout_env(threads=None):
+    """The environment for a new process that imports bgrecon from the
+    checkout, with OPENBLAS_NUM_THREADS set to `threads`, or with no BLAS
+    thread variable set for None."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(argv, threads):
+    command = [sys.executable, "-m", "bgrecon.cli", *argv]
+    subprocess.run(command, env=checkout_env(threads), check=True, capture_output=True)
+
+
+def assert_same_files(dirs):
+    names = sorted(os.listdir(dirs[0]))
+    for other in dirs[1:]:
+        assert names == sorted(os.listdir(other))
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (other / name).read_bytes()
+
+
 @pytest.mark.parametrize("experiment", ["table1", "fig6"])
 def test_annulus_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, experiment):
     # the annulus solves and the sentinel SVD are dense BLAS and LAPACK
     # calls; their artifacts must be the same bytes on 1 and 2 threads
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
-        command = [sys.executable, "-m", "bgrecon.cli", experiment, "--out", str(out)]
-        subprocess.run(command, env=env, check=True, capture_output=True)
+        run_cli([experiment, "--out", str(out)], threads)
         outs.append(out)
-    names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1]))
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert_same_files(outs)
+
+
+def test_cli_pins_blas_to_one_thread(tmp_path):
+    # fig2's moment solves round differently on 2 BLAS threads; the CLI
+    # runs on one whatever the environment asks for
+    outs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_cli(["fig2", "--n", "100", "--out", str(out)], threads)
+        outs.append(out)
+    assert_same_files(outs)
+
+
+def test_table1_loads_no_scipy(tmp_path):
+    # the library runs on numpy alone; scipy is a test dependency
+    code = (
+        "import sys; from bgrecon.cli import main; "
+        f"assert main(['table1', '--out', {str(tmp_path)!r}]) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
 
 def test_fig3_slopes_artifact(tmp_path):
     # restrict the sweep through the public helper to keep this cheap
