@@ -81,6 +81,11 @@ def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     return _weighted_kernel(fmap, x, fmap.op.nu) @ x.values
 
 
+# Dense points per block of forward_data_exact: the block's few arrays
+# stay in cache, and at m = 8N a block holds tens of nodes.
+_BLOCK_POINTS = 2**13
+
+
 def forward_data_exact(
     op: QuadraticVolterraOperator,
     x_fn,
@@ -95,20 +100,61 @@ def forward_data_exact(
     reconstruction errors reflect the approximation properties of the
     method rather than data/assembly consistency.
 
-    x_fn is a scalar callable float -> float. It is called with Python
-    floats, len(nodes) * (m + 1) times: Python floats round exactly as
-    numpy.float64 does, and scalar comparisons and arithmetic on them
-    are several times cheaper.
+    x_fn is a pure scalar callable float -> float. It is called with
+    Python floats, which round exactly as numpy.float64 does and are
+    several times cheaper in scalar code, once per dense point, except at
+    the first (m + 1) // 2 points of a node exactly twice another: those
+    are the other node's even points, and their values are reused. The
+    call order is unspecified.
+
+    The dense points of a node t in [0, 1] are those of
+    np.linspace(0, t, m + 1), bit for bit: k * fl(t / m), the last one t
+    ((k / m) * t where t / m underflows to 0). Nodes are visited by
+    binary mantissa, then exponent, so t, 2t, 4t ... follow each other,
+    in blocks of at most _BLOCK_POINTS dense points (one node when m + 1
+    exceeds it); each block makes one kernel interpolation, one integrand
+    and one trapezoid call.
     """
+    if m < 1:
+        raise ValueError(f"need at least one dense subinterval, got m={m}")
     if nodes is None:
         nodes = op.grid.nodes[1:]
-    out = np.zeros(len(nodes))
-    for i, t in enumerate(nodes):
-        s = np.linspace(0.0, t, m + 1)
-        x_s = np.fromiter(map(x_fn, s.tolist()), float, m + 1)
-        x_rev = x_s[::-1]  # x(t - s) on the symmetric dense grid
-        integrand = op.kernel(t - s) * x_s + op.nu * x_rev * x_s
-        out[i] = np.trapezoid(integrand, s)
+    nodes = np.asarray(nodes, dtype=float)
+    mantissa, exponent = np.frexp(nodes)
+    order = np.lexsort((exponent, mantissa))
+    t_all = nodes[order]
+    step_all = t_all / m
+    # A node twice the nonzero node visited before it reuses that node's
+    # even points, s_k(2t) = s_2k(t) for k < half: fl(2t/m) = 2 fl(t/m)
+    # unless t/m underflows.
+    doubled_all = np.zeros(len(order), dtype=bool)
+    doubled_all[1:] = (
+        (t_all[1:] == 2 * t_all[:-1])
+        & (step_all[1:] == 2 * step_all[:-1])
+        & (step_all[:-1] != 0)
+    )
+    out = np.zeros(len(order))
+    k = np.arange(m + 1.0)
+    half = (m + 1) // 2
+    rows = max(1, _BLOCK_POINTS // (m + 1))
+    prev_x = None
+    for start in range(0, len(order), rows):
+        block = slice(start, start + rows)
+        t, step, doubled = t_all[block], step_all[block], doubled_all[block]
+        s = k * step[:, None]
+        # np.linspace's rule where the step underflows to 0
+        under = step == 0
+        s[under] = (k / m) * t[under, None]
+        s[:, -1] = t
+        x = np.empty_like(s)
+        for j, lo in enumerate(np.where(doubled, half, 0).tolist()):
+            if lo:
+                x[j, :lo] = (x[j - 1] if j else prev_x)[: 2 * lo : 2]
+            x[j, lo:] = np.fromiter(map(x_fn, s[j, lo:].tolist()), float, m + 1 - lo)
+        x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
+        integrand = op.kernel(t[:, None] - s) * x + op.nu * x_rev * x
+        out[order[block]] = np.trapezoid(integrand, s, axis=-1)
+        prev_x = x[-1].copy()
     return out
 
 

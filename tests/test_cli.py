@@ -281,15 +281,38 @@ def assert_same_files(dirs):
             assert (dirs[0] / name).read_bytes() == (other / name).read_bytes()
 
 
+def run_library(argv, threads):
+    """Run the CLI's main in a new process whose numpy loaded OpenBLAS on
+    `threads` threads before bgrecon.cli could pin one; return the
+    process's OS thread count, or None where /proc/self/task is missing."""
+    code = (
+        "import os, sys; import numpy; from bgrecon.cli import main; "
+        "assert main(sys.argv[1:]) == 0; task = '/proc/self/task'; "
+        "print(len(os.listdir(task)) if os.path.isdir(task) else None)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=checkout_env(threads), capture_output=True, text=True, check=True,
+    )
+    count = result.stdout.split()[-1]
+    return None if count == "None" else int(count)
+
+
 @pytest.mark.parametrize("experiment", ["table1", "fig6"])
 def test_annulus_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, experiment):
     # the annulus solves and the sentinel SVD are dense BLAS and LAPACK
     # calls; their artifacts must be the same bytes on 1 and 2 threads
-    outs = []
+    outs, os_threads = [], []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        run_cli([experiment, "--out", str(out)], threads)
+        os_threads.append(run_library([experiment, "--out", str(out)], threads))
         outs.append(out)
+    # the 2-thread run really has OpenBLAS's second thread, where the
+    # count can be read and the process may run on 2 CPUs (OpenBLAS sizes
+    # its pool from the affinity mask)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if None not in os_threads and cpus >= 2:
+        assert os_threads[1] > os_threads[0]
     assert_same_files(outs)
 
 

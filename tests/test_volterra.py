@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgrecon import volterra
 from bgrecon.cli import x_a, x_b, x_c, x_sq
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.volterra import (
@@ -84,6 +85,11 @@ def test_forward_data_exact_against_closed_form():
         assert y[i] == pytest.approx(t**3 / 3, rel=1e-6)
 
 
+def test_forward_data_exact_rejects_no_subintervals():
+    with pytest.raises(ValueError):
+        forward_data_exact(make_op(4), x_b, m=0)
+
+
 def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096):
     """Reference: the per-point loop that hands x_fn numpy.float64 points."""
     if nodes is None:
@@ -107,10 +113,27 @@ def test_forward_data_exact_matches_loop_bit_for_bit(x_fn, m):
     )
 
 
+def _doubled_rows(nodes):
+    """Nodes that follow a node of half their value when visited by
+    binary mantissa, then exponent: equal mantissa, exponent one higher,
+    mantissa not 0."""
+    f, e = np.frexp(nodes)
+    order = np.lexsort((e, f))
+    f, e = f[order], e[order]
+    return int(np.sum((f[1:] == f[:-1]) & (e[1:] == e[:-1] + 1) & (f[1:] != 0)))
+
+
+def _expected_calls(op, nodes, m):
+    if nodes is None:
+        nodes = op.grid.nodes[1:]
+    return len(nodes) * (m + 1) - _doubled_rows(nodes) * ((m + 1) // 2)
+
+
 @st.composite
 def piecewise_linear_cases(draw):
     """Operator, scalar piecewise-linear callable with if branches, m and
-    measurement nodes (None for the grid nodes, else off-grid)."""
+    measurement nodes: None for the grid nodes, else off-grid nodes with
+    doubling chains t, 2t, 4t, duplicates and 0.0, in any order."""
     n = draw(st.integers(4, 8))
     op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
     k1, k2 = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2)))
@@ -123,39 +146,90 @@ def piecewise_linear_cases(draw):
             return v1 - v2 * (t - k1)
         return v2 * t
 
-    m = draw(st.sampled_from([8 * n, 4096]))
-    nodes = draw(
-        st.none()
-        | st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6, unique=True).map(
-            lambda v: np.asarray(sorted(v))
-        )
-    )
+    m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 8 * n + 1, 4096]))
+    nodes = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+    chains = draw(st.lists(st.floats(1e-3, 0.25), max_size=3))
+    nodes += [t * 2**j for t in chains for j in range(3)]
+    nodes += draw(st.lists(st.sampled_from(nodes), max_size=3))
+    nodes += [0.0] * draw(st.integers(0, 2))
+    nodes = draw(st.none() | st.permutations(nodes).map(np.asarray))
     return op, x_fn, m, nodes
 
 
-@settings(max_examples=25)
+@settings(max_examples=40)
 @given(piecewise_linear_cases())
 def test_forward_data_exact_matches_loop_for_branchy_callables(case):
     op, x_fn, m, nodes = case
+    args = []
+
+    def counted(t):
+        args.append(t)
+        return x_fn(t)
+
+    assert np.array_equal(
+        forward_data_exact(op, counted, nodes, m=m),
+        _forward_data_exact_loop(op, x_fn, nodes, m=m),
+    )
+    assert len(args) == _expected_calls(op, nodes, m)
+
+
+@pytest.mark.parametrize("zero_node", [False, True])
+def test_forward_data_exact_matches_loop_across_blocks(zero_node):
+    # at m = 320 a block holds 25 of the 40 grid nodes, and the chain
+    # 1/40, 2/40, ..., 32/40 crosses from the first block into the second;
+    # a 0.0 node is visited first, inside the first block
+    op = make_op(40, nu=0.3)
+    nodes = op.grid.nodes[int(not zero_node) :]
+    m = 320
+    assert volterra._BLOCK_POINTS // (m + 1) == 25
+    f, e = np.frexp(nodes)
+    t = nodes[np.lexsort((e, f))]
+    assert t[25 + zero_node] == 2 * t[24 + zero_node]
+    assert np.array_equal(
+        forward_data_exact(op, x_b, nodes, m=m),
+        _forward_data_exact_loop(op, x_b, nodes, m=m),
+    )
+
+
+@pytest.mark.parametrize("m", [3, 5, 96])
+def test_forward_data_exact_matches_loop_where_steps_underflow(m):
+    # t/m rounds to 0 or to a subnormal step: np.linspace then takes
+    # (k/m)*t, and fl(2t/m) can differ from 2 fl(t/m); x counts the
+    # smallest subnormals in t, so a misplaced dense point shows in y
+    op = make_op(8, nu=0.3)
+    nodes = np.array([3.0, 6.0, 12.0, 1.0, 2.0, 2.0**60]) * 2.0**-1074
+
+    def x_fn(t):
+        return t * 2.0**537 * 2.0**537
+
     assert np.array_equal(
         forward_data_exact(op, x_fn, nodes, m=m),
         _forward_data_exact_loop(op, x_fn, nodes, m=m),
     )
 
 
-@pytest.mark.parametrize("nodes", [None, np.array([0.13, 0.5, 0.91])])
-def test_forward_data_exact_calls_x_with_python_floats(nodes):
-    op = make_op(12, nu=0.2)
+@pytest.mark.parametrize(
+    "n, nodes, m, calls",
+    [
+        (12, None, 96, 876),
+        (12, np.array([0.13, 0.5, 0.91]), 96, 291),
+        (64, None, 4096, 196_672),
+    ],
+    ids=["None", "nodes1", "N64-m4096"],
+)
+def test_forward_data_exact_calls_x_with_python_floats(n, nodes, m, calls):
+    # one call per dense point, less the first (m + 1) // 2 points of each
+    # node exactly twice another: every even grid node i/N
+    op = make_op(n, nu=0.2)
     args = []
 
     def x_fn(t):
         args.append(t)
         return x_b(t)
 
-    m = 96
     forward_data_exact(op, x_fn, nodes, m=m)
-    n_nodes = op.grid.n if nodes is None else len(nodes)
-    assert len(args) == n_nodes * (m + 1)
+    assert len(args) == calls
+    assert calls == _expected_calls(op, nodes, m)
     assert all(type(t) is float for t in args)
 
 
