@@ -275,10 +275,13 @@ def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
     """Rows (name, <mu,phi>, <psi,f>, corrected, relative error) for the
     two direct-problem traces.
 
-    psi comes from the truncated-SVD solve of -A_sharp(psi) = mu; the
-    alternating iteration (fig6) stalls at the contact-point flux
-    singularity on fine grids, which would contaminate both table
-    columns."""
+    psi comes from the truncated-SVD solve of -A_sharp(psi) = mu. The
+    alternating iteration (fig6) is of Landweber type: its step matrix is
+    self-adjoint in the Neumann energy, with eigenvalues in [0.60, 1] at
+    33 x 128 that cluster at 1 on the flux-to-trace matrix's numerical
+    null space. It lowers the error energy in every step, but slowly
+    (125 to 20.9 in 100 steps at 33 x 128), and its residual stalls, so
+    its iterate would contaminate both table columns."""
     grid = annulus.AnnulusGrid(n_r, n_theta)
     psi_bar = annulus.BoundaryTrace(
         grid, annulus.GAMMA_L, np.ones(grid.n_half + 1)

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -887,6 +888,162 @@ def test_affine_iteration_matches_the_two_solve_loop(shape, monkeypatch):
     assert calls == []
     assert np.max(np.abs(result.residuals - residuals)) <= 1e-12 * np.max(residuals)
     assert np.max(np.abs(result.psi.values - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
+def assert_is_the_tol_zero_run_truncated(g, mu, max_iter, tol, keep_iterates):
+    """A run at tol equals the tol = 0 run cut at its first residual <= tol,
+    in residuals, psi, iterates and converged. Returns the stop index."""
+    full = an.kozlov_mazya_solve(
+        g, mu, max_iter=max_iter, tol=0.0, keep_iterates=tuple(range(max_iter + 1))
+    )
+    hits = np.flatnonzero(full.residuals <= tol)
+    stop = hits[0] if hits.size else len(full.residuals) - 1
+    result = an.kozlov_mazya_solve(g, mu, max_iter=max_iter, tol=tol, keep_iterates=keep_iterates)
+    np.testing.assert_array_equal(result.residuals, full.residuals[: stop + 1])
+    np.testing.assert_array_equal(result.psi.values, full.iterates[stop][1].values)
+    assert [k for k, _ in result.iterates] == [k for k in range(stop + 1) if k in keep_iterates]
+    for k, trace in result.iterates:
+        np.testing.assert_array_equal(trace.values, full.iterates[k][1].values)
+    assert result.converged == (hits.size > 0)
+    return stop
+
+
+def consistent_mu(g):
+    t = g.arc_params
+    psi_bar = an.BoundaryTrace(g, an.GAMMA_L, 1.0 + np.cos(t) + 0.3 * np.sin(2 * t))
+    return an.BoundaryTrace(g, an.GAMMA_R, -an.apply_A_sharp(g, psi_bar).values)
+
+
+def test_zero_data_stop_at_the_first_step():
+    g = an.AnnulusGrid(9, 16)
+    mu = an.BoundaryTrace(g, an.GAMMA_R, np.zeros(g.n_half + 1))
+    assert assert_is_the_tol_zero_run_truncated(g, mu, 100, 1e-8, (0, 3)) == 0
+
+
+def test_iterates_past_the_stop_are_not_kept():
+    g = an.AnnulusGrid(9, 16)
+    mu = consistent_mu(g)
+    tol = an.kozlov_mazya_solve(g, mu, max_iter=20, tol=0.0).residuals[20]
+    # unsorted, repeated, and past the stop
+    stop = assert_is_the_tol_zero_run_truncated(g, mu, 100, tol, (21, 5, 0, 20, 5, 90))
+    assert stop == 20
+
+
+def test_negative_tolerance_runs_every_step():
+    g = an.AnnulusGrid(9, 16)
+    stop = assert_is_the_tol_zero_run_truncated(g, consistent_mu(g), 70, -1.0, (1, 64, 70))
+    assert stop == 70
+
+
+def test_stop_in_a_third_block_matches_the_two_solve_loop():
+    g = an.AnnulusGrid(9, 16)
+    mu = consistent_mu(g)
+    max_iter = 3 * an._BLOCK_STEPS + 10
+    # on this data the residual falls from step 33 to step 147
+    tol = an.kozlov_mazya_solve(g, mu, max_iter=max_iter, tol=0.0).residuals[2 * an._BLOCK_STEPS + 5]
+    stop = assert_is_the_tol_zero_run_truncated(g, mu, max_iter, tol, (0, 64, 128, 133))
+    assert stop == 2 * an._BLOCK_STEPS + 5
+    result = an.kozlov_mazya_solve(g, mu, max_iter=max_iter, tol=tol)
+    residuals, psi = two_solve_kozlov_mazya(g, mu.values, stop)
+    assert np.max(np.abs(result.residuals - residuals)) <= 1e-12 * np.max(residuals)
+    assert np.max(np.abs(result.psi.values - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
+def test_kozlov_mazya_rejects_a_negative_step_count():
+    g = an.AnnulusGrid(9, 16)
+    with pytest.raises(ValueError):
+        an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=-1)
+
+
+def test_kozlov_mazya_memory_does_not_grow_with_the_step_count():
+    g = an.AnnulusGrid(33, 128)
+    mu = consistent_mu(g)
+    an.kozlov_mazya_solve(g, mu, max_iter=1, tol=0.0)
+    peaks = []
+    for max_iter in (100, 10_000):
+        tracemalloc.start()
+        an.kozlov_mazya_solve(g, mu, max_iter=max_iter, tol=0.0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the returned residuals, 8 bytes a step, are the only difference
+    assert abs(peaks[1] - peaks[0] - 8 * 9_900) <= 1024
+
+
+@pytest.mark.parametrize("shape", [(17, 64), (33, 128), (65, 256)])
+def test_fig6_and_random_flux_data_are_consistent_and_noisy_data_are_not(shape):
+    g = an.AnnulusGrid(*shape)
+    mu = an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, np.ones(g.n_half + 1)))
+    result = an.kozlov_mazya_solve(g, mu, max_iter=100, tol=1e-12)
+    assert not result.converged
+    assert not result.inconsistent
+    rng = np.random.default_rng(16)
+    rough = an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, rng.uniform(-1.0, 1.0, g.n_half + 1)))
+    assert not an.kozlov_mazya_solve(g, rough, max_iter=5).inconsistent
+    noisy = an.BoundaryTrace(g, an.GAMMA_R, mu.values + 1e-3 * rng.uniform(-1.0, 1.0, g.n_half + 1))
+    assert an.kozlov_mazya_solve(g, noisy, max_iter=5).inconsistent
+
+
+def test_step_matrix_is_lazy_cached_and_read_only(factorizations):
+    table1_rows()
+    g = an.AnnulusGrid(33, 128)
+    # a grid that never iterates builds no step matrix
+    assert "step_matrix" not in vars(an.grid_solver(g))
+    an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=2)
+    step = an.grid_solver(g).step_matrix
+    assert an.grid_solver(g).step_matrix is step
+    assert not step.flags.writeable
+    assert factorizations == [g]
+
+
+KM_GRIDS = (an.AnnulusGrid(9, 8), an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64), an.AnnulusGrid(33, 128))
+
+
+@pytest.mark.parametrize("g", KM_GRIDS, ids=lambda g: f"{g.n_r}x{g.n_theta}")
+def test_step_matrix_is_energy_self_adjoint_with_spectrum_in_the_unit_interval(g):
+    # M is self-adjoint in the Neumann-energy inner product <., X_I .>
+    # (measured <= 1.9e-15 relative), so its eigenvalues are real; they
+    # lie in [0.60, 1] at 33 x 128
+    solver = an.grid_solver(g)
+    interior = solver.step_matrix[1:-1]
+    energy_step = solver._x_i @ interior
+    assert np.max(np.abs(energy_step - energy_step.T)) <= 1e-13 * np.max(np.abs(energy_step))
+    eigenvalues = np.linalg.eigvals(interior)
+    assert np.max(np.abs(eigenvalues.imag)) <= 1e-12
+    assert -1e-12 <= np.min(eigenvalues.real) and np.max(eigenvalues.real) <= 1 + 1e-12
+
+
+@given(st.sampled_from(KM_GRIDS), st.data())
+def test_kozlov_mazya_fixes_the_flux_and_never_raises_the_error_energy(g, data):
+    elements = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+    psi_bar = data.draw(hnp.arrays(float, g.n_half + 1, elements=elements))
+    mu = -an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi_bar)).values
+    solver = an.grid_solver(g)
+    step, flux_to_trace = solver.step_matrix, solver._flux_to_trace
+    # psi_bar's interior values are a fixed point of the step
+    image = step @ psi_bar[1:-1] - flux_to_trace @ mu
+    scale = np.abs(step) @ np.abs(psi_bar[1:-1]) + np.abs(flux_to_trace) @ np.abs(mu)
+    assert np.max(np.abs(image - psi_bar)[1:-1]) <= 1e-12 * np.max(scale)
+    # the error energy e^T X_I e does not increase from step to step
+    result = an.kozlov_mazya_solve(
+        g, an.BoundaryTrace(g, an.GAMMA_R, mu), max_iter=30, tol=-1.0, keep_iterates=tuple(range(31))
+    )
+    errors = np.array([eta.values[1:-1] - psi_bar[1:-1] for _, eta in result.iterates])
+    energy = np.einsum("ki,ij,kj->k", errors, solver._x_i, errors)
+    assert np.all(np.diff(energy) <= 1e-12 * energy[0])
+
+
+def test_dirichlet_to_flux_symbol_converges_to_the_continuum_at_second_order():
+    # Fourier mode p of the continuum map with zero flux on r = 1/2:
+    # u = r^p + 4^-p r^-p, so u_r(1) / u(1) = p tanh(p ln 2)
+    p = np.array([1, 2, 4, 8])
+    continuum = p * np.tanh(p * np.log(2))
+    errors = []
+    for n_r, n_theta in [(9, 32), (17, 64), (33, 128), (65, 256), (129, 512)]:
+        symbol = np.fft.fft(an.grid_solver(an.AnnulusGrid(n_r, n_theta))._dtn[:, 0]).real
+        errors.append(np.abs(symbol[p] - continuum))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    # measured 2.00 to 2.06
+    assert np.all((orders > 1.95) & (orders < 2.1))
 
 
 @pytest.mark.parametrize("shape", [(9, 8), (17, 64), (33, 128), (65, 256)])
