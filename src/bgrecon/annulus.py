@@ -132,6 +132,10 @@ class BoundaryTrace:
 # rejects a wrong solve.
 BACKWARD_LIMIT = 64 * np.finfo(float).eps
 
+# Singular values below this fraction of the largest are cut from the
+# sentinel TSVD (table1_tsvd.csv shows which are kept).
+SENTINEL_RCOND = 1e-8
+
 
 class AnnulusBVPSolver:
     """Outer traces for the grid's one boundary pattern: Dirichlet data on
@@ -146,7 +150,11 @@ class AnnulusBVPSolver:
     multi-right-hand-side solve X = Lambda_LL^-1 [I | Lambda_LR], with
     blocks X_I and X_C, is made once and accepted column by column; every
     outer operator is a product with its blocks, so a solve is two
-    matrix-vector products."""
+    matrix-vector products.
+
+    The solver owns every per-grid operator: the flux-to-trace matrix F
+    (flux_to_trace), its truncated SVD (tsvd) and the Kozlov-Maz'ya step
+    matrix (step_matrix), all read-only."""
 
     def __init__(self, grid: AnnulusGrid):
         self.grid = grid
@@ -184,12 +192,31 @@ class AnnulusBVPSolver:
         # Gamma_l flux to Gamma_r flux with zero Dirichlet data on Gamma_r,
         # F = Lambda_RL X_I, and Gamma_r Dirichlet data to Gamma_r flux with
         # zero flux on Gamma_l, S = Lambda_RR - Lambda_RL X_C. F's contact
-        # columns are zero: Gamma_r's Dirichlet data own those nodes.
+        # columns are zero: Gamma_r's Dirichlet data own those nodes, so
+        # their flux values never enter a solve.
         dtn_rl = self._dtn[np.ix_(self._r, self._l)]
         n = len(self._r)
-        self._flux_to_trace = np.zeros((n, n))
-        self._flux_to_trace[:, 1:-1] = dtn_rl @ self._x_i
+        self.flux_to_trace = np.zeros((n, n))
+        self.flux_to_trace[:, 1:-1] = dtn_rl @ self._x_i
+        self.flux_to_trace.flags.writeable = False
         self._dirichlet_to_flux = self._dtn[np.ix_(self._r, self._r)] - dtn_rl @ self._x_c
+
+    @cached_property
+    def tsvd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only truncated SVD (sigma, u, s, vt) of F: sigma is the full
+        spectrum of np.linalg.svd(F), and u, s, vt are the factors of the
+        singular values above SENTINEL_RCOND times the largest, taken by a
+        boolean mask (u[:, keep], s[keep], vt[keep]): contiguous copies,
+        since products with a prefix view of u round differently (they
+        move table1.csv's errors by 2e-16). Like the block solve it
+        depends only on the grid, so it is paid once, on a grid's first
+        sentinel solve or range test."""
+        u, sigma, vt = np.linalg.svd(self.flux_to_trace)
+        keep = sigma > SENTINEL_RCOND * sigma[0]
+        factors = (sigma, u[:, keep], sigma[keep], vt[keep])
+        for factor in factors:
+            factor.flags.writeable = False
+        return factors
 
     @cached_property
     def step_matrix(self) -> np.ndarray:
@@ -264,30 +291,37 @@ def grid_solver(grid: AnnulusGrid) -> AnnulusBVPSolver:
     return AnnulusBVPSolver(grid)
 
 
+def _solver_for(grid: AnnulusGrid, trace: BoundaryTrace, segment: str) -> AnnulusBVPSolver:
+    """grid_solver(grid), once trace is checked to lie on that outer half
+    of that grid; a trace of another half or another grid is ValueError."""
+    if trace.segment != segment or trace.grid != grid:
+        raise ValueError(
+            f"need a {segment} trace on the {grid.n_r} x {grid.n_theta} grid, got a "
+            f"{trace.segment} trace on the {trace.grid.n_r} x {trace.grid.n_theta} grid"
+        )
+    return grid_solver(grid)
+
+
 def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     """A(phi) = trace on Gamma_l of the harmonic field with w = phi on
     Gamma_r and zero Neumann data on Gamma_l and Gamma_i."""
-    if phi.segment != GAMMA_R:
-        raise ValueError("phi must be a Gamma_r trace")
-    w = grid_solver(grid).solve(gamma_r=phi.values)
+    w = _solver_for(grid, phi, GAMMA_R).solve(gamma_r=phi.values)
     return BoundaryTrace(grid, GAMMA_L, w[grid.segment_angular_indices(GAMMA_L)])
 
 
 def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
     """A_sharp(psi) = normal derivative on Gamma_r of the harmonic field
     with v = 0 on Gamma_r, v_nu = psi on Gamma_l, v_nu = 0 on Gamma_i."""
-    if psi.segment != GAMMA_L:
-        raise ValueError("psi must be a Gamma_l trace")
-    solver = grid_solver(grid)
+    solver = _solver_for(grid, psi, GAMMA_L)
     vn = solver.outer_normal_derivative(solver.solve(gamma_l=psi.values))
     return BoundaryTrace(grid, GAMMA_R, vn[grid.segment_angular_indices(GAMMA_R)])
 
 
 def trace_inner(u: BoundaryTrace, v: BoundaryTrace) -> float:
-    """Trapezoid inner product over arc length on a shared outer half
-    (half-weights at the shared contact endpoints)."""
-    if u.segment != v.segment:
-        raise ValueError("traces must share an outer half segment")
+    """Trapezoid inner product over arc length on a shared outer half of
+    a shared grid (half-weights at the shared contact endpoints)."""
+    if u.segment != v.segment or u.grid != v.grid:
+        raise ValueError("traces must share an outer half segment and a grid")
     return float(np.trapezoid(u.values * v.values, u.grid.arc_params))
 
 
@@ -314,34 +348,6 @@ def correction_functional(
     )
 
 
-def flux_to_trace_matrix(grid: AnnulusGrid) -> np.ndarray:
-    """Dense matrix of the map from Gamma_l flux data to the Gamma_r
-    normal-derivative trace: a copy of the grid solver's Lambda_RL X_I.
-
-    The columns for the two contact nodes are zero: the Dirichlet
-    condition on Gamma_r owns those nodes, so their flux values never
-    enter the solve."""
-    return grid_solver(grid)._flux_to_trace.copy()
-
-
-@lru_cache(maxsize=8)
-def flux_to_trace_svd(grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only factors (u, s, vt) of np.linalg.svd(flux_to_trace_matrix).
-
-    Like grid_solver's block solve, they depend only on the grid, so
-    each grid's SVD is paid once per process and shared by every
-    sentinel solve."""
-    factors = np.linalg.svd(flux_to_trace_matrix(grid))
-    for factor in factors:
-        factor.flags.writeable = False
-    return tuple(factors)
-
-
-# Singular values below this fraction of the largest are cut from the
-# sentinel TSVD (table1_tsvd.csv shows which are kept).
-SENTINEL_RCOND = 1e-8
-
-
 def solve_sentinel_equation(grid: AnnulusGrid, mu: BoundaryTrace) -> BoundaryTrace:
     """Flux psi on Gamma_l with -A_sharp(psi) = mu, by truncated-SVD
     least squares on the assembled flux-to-trace matrix.
@@ -350,12 +356,8 @@ def solve_sentinel_equation(grid: AnnulusGrid, mu: BoundaryTrace) -> BoundaryTra
     two structurally zero contact columns), so singular values below
     SENTINEL_RCOND times the largest are discarded; the returned psi is the
     minimum-norm least-squares solution of the retained part."""
-    if mu.segment != GAMMA_R:
-        raise ValueError("mu must be a Gamma_r trace")
-    u, s, vt = flux_to_trace_svd(grid)
-    keep = s > SENTINEL_RCOND * s[0]
-    coeffs = (u[:, keep].T @ (-mu.values)) / s[keep]
-    return BoundaryTrace(grid, GAMMA_L, vt[keep].T @ coeffs)
+    _, u, s, vt = _solver_for(grid, mu, GAMMA_R).tsvd
+    return BoundaryTrace(grid, GAMMA_L, vt.T @ ((u.T @ (-mu.values)) / s))
 
 
 # mu counts as outside the range of A_sharp when its part outside the
@@ -417,12 +419,10 @@ def kozlov_mazya_solve(
     but not in the residual, and slow on F's near-null modes, so it
     stalls on consistent data too.
     """
-    if mu.segment != GAMMA_R:
-        raise ValueError("mu must be a Gamma_r trace")
+    solver = _solver_for(grid, mu, GAMMA_R)
     if max_iter < 0:
         raise ValueError(f"need max_iter >= 0, got {max_iter}")
-    solver = grid_solver(grid)
-    flux_to_trace = solver._flux_to_trace
+    flux_to_trace = solver.flux_to_trace
     n = grid.n_half + 1
     # A block row is (eta_k, 1). The step [M | 0 | -F mu] maps its last n
     # entries (eta_k's interior values, a contact value that M does not
@@ -455,8 +455,7 @@ def kozlov_mazya_solve(
         ]
         if converged:
             break
-    u, s, _ = flux_to_trace_svd(grid)
-    kept = u[:, s > SENTINEL_RCOND * s[0]]
+    kept = solver.tsvd[1]
     outside = mu.values - kept @ (kept.T @ mu.values)
     inconsistent = bool(np.max(np.abs(outside)) > RANGE_LIMIT * np.max(np.abs(mu.values)))
     return KozlovMazyaResult(

@@ -314,13 +314,12 @@ def _run_table1(cfg: ExperimentConfig, out: str) -> list[str]:
                 f"{name},{truth:.12g},{raw:.12g},{corrected:.12g},{rel:.12g}\n"
             )
     # the spectrum behind psi: table1_rows filled the cache for this grid
-    _, sigma, _ = annulus.flux_to_trace_svd(annulus.AnnulusGrid(*TABLE1_GRID))
-    kept = sigma > annulus.SENTINEL_RCOND * sigma[0]
+    sigma, _, kept, _ = annulus.grid_solver(annulus.AnnulusGrid(*TABLE1_GRID)).tsvd
     spath = os.path.join(out, "table1_tsvd.csv")
     with open(spath, "w", newline="") as fh:
         fh.write("index,sigma,relative,kept\n")
-        for i, (s, k) in enumerate(zip(sigma, kept)):
-            fh.write(f"{i},{s:.12g},{s / sigma[0]:.12g},{int(k)}\n")
+        for i, s in enumerate(sigma):
+            fh.write(f"{i},{s:.12g},{s / sigma[0]:.12g},{int(i < kept.size)}\n")
     return [path, spath]
 
 

@@ -65,6 +65,18 @@ class AssembledSystem:
     condition: float
 
 
+def _forward_map(
+    op: QuadraticVolterraOperator, fmap: DiscreteForwardMap | None
+) -> DiscreteForwardMap:
+    """fmap, or op's map when fmap is None; a map of another operator is
+    ValueError, since the callers would use it in place of op."""
+    if fmap is None:
+        return DiscreteForwardMap(op)
+    if fmap.op is not op:
+        raise ValueError("fmap is the forward map of another operator")
+    return fmap
+
+
 def assemble_adjoint_system(
     op: QuadraticVolterraOperator,
     basis: CubicBSplineBasis,
@@ -72,8 +84,7 @@ def assemble_adjoint_system(
     mu_moments: np.ndarray,
     fmap: DiscreteForwardMap | None = None,
 ) -> AssembledSystem:
-    if fmap is None:
-        fmap = DiscreteForwardMap(op)
+    fmap = _forward_map(op, fmap)
     mu_moments = np.asarray(mu_moments, dtype=float)
     if mu_moments.ndim not in (1, 2) or mu_moments.shape[0] != basis.size:
         raise ValueError(
@@ -128,8 +139,6 @@ def reconstruct_profile(
     targets = list(targets)
     if not targets:
         return []
-    if fmap is None:
-        fmap = DiscreteForwardMap(op)
     moments = delta_moments(basis, np.asarray(targets, dtype=float))
     system = assemble_adjoint_system(op, basis, x0, moments, fmap)
     data_row = np.asarray(y_data, dtype=float) @ np.linalg.pinv(system.matrix)
@@ -142,16 +151,11 @@ def reconstruct_profile(
     return [(t0, float(v)) for t0, v in zip(targets, values)]
 
 
-def profile_to_csv(pairs, path, truth: Callable[[float], float] | None = None) -> None:
+def profile_to_csv(pairs, path, truth: Callable[[float], float]) -> None:
     with open(path, "w", newline="") as fh:
-        if truth is None:
-            fh.write("t,reconstructed\n")
-            for t0, v in pairs:
-                fh.write(f"{t0:.12g},{v:.12g}\n")
-        else:
-            fh.write("t,reconstructed,truth\n")
-            for t0, v in pairs:
-                fh.write(f"{t0:.12g},{v:.12g},{truth(t0):.12g}\n")
+        fh.write("t,reconstructed,truth\n")
+        for t0, v in pairs:
+            fh.write(f"{t0:.12g},{v:.12g},{truth(t0):.12g}\n")
 
 
 def iterative_refinement(
@@ -167,8 +171,7 @@ def iterative_refinement(
     interpolant of the previous round's nodal values."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if fmap is None:
-        fmap = DiscreteForwardMap(op)
+    fmap = _forward_map(op, fmap)
     grid = op.grid
     nodes = grid.nodes
     x0 = x0_init
@@ -199,13 +202,12 @@ def iterative_refinement(
 @dataclass(frozen=True)
 class ErrorBudget:
     """The four addends bounding |f - f_{eps,phi}| for a linearized
-    reconstruction, plus optional linear-theory diagnostics."""
+    reconstruction."""
 
     noise_term: float
     linearization_term: float
     constraint_term: float
     adjoint_defect_term: float
-    dist_x_star: float | None = None
 
     def __post_init__(self):
         for name in (
@@ -242,10 +244,10 @@ def error_budget(
 
     All terms use the discrete forward quantities, so the bound
     |mu(x_star) - phi . y_eps| <= total holds as an exact triangle
-    inequality whenever y = forward_data(x_star).
+    inequality whenever y = forward_data(x_star). basis is not read; it
+    stays in the signature because callers pass it positionally.
     """
-    if fmap is None:
-        fmap = DiscreteForwardMap(op)
+    fmap = _forward_map(op, fmap)
     w = phi.coefficients
     ax_star = forward_data(fmap, x_star)
     ax0 = forward_data(fmap, x0)
@@ -257,19 +259,4 @@ def error_budget(
     linearization = abs(w @ (ax_star - ax0 - da_diff))
     constraint = abs(w @ (ax0 - da_x0))
     adjoint_defect = abs(w @ da_xstar - mu(x_star))
-    dist_x = subspace_distance(basis, x_star) if basis is not None else None
-    return ErrorBudget(noise, linearization, constraint, adjoint_defect, dist_x)
-
-
-def subspace_distance(basis: CubicBSplineBasis, x: SampledFunction) -> float:
-    """L2 distance (grid trapezoid surrogate) from x to the spline span."""
-    grid = basis.grid
-    h = grid.h
-    w = np.full(grid.n + 1, h)
-    w[0] = w[-1] = h / 2
-    sv = basis.node_values()  # (N, N+1)
-    sqrt_w = np.sqrt(w)
-    design = sv.T * sqrt_w[:, None]
-    coeffs, *_ = np.linalg.lstsq(design, x.values * sqrt_w, rcond=None)
-    resid = x.values - sv.T @ coeffs
-    return float(np.sqrt(np.sum(w * resid**2)))
+    return ErrorBudget(noise, linearization, constraint, adjoint_defect)

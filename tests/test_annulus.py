@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bgrecon import annulus as an
-from bgrecon.cli import table1_rows
+from bgrecon.cli import ExperimentConfig, _run_table1, table1_rows
 
 # (Gamma_r, Gamma_l, Gamma_i) condition kinds of the scheme's boundary
 # pattern and of its mirror image, which step (ii) of the alternating
@@ -429,8 +429,7 @@ def test_kozlov_mazya_keeps_requested_iterates():
 
 
 def test_sentinel_system_contact_columns_are_zero():
-    g = an.AnnulusGrid(9, 16)
-    m = an.flux_to_trace_matrix(g)
+    m = an.grid_solver(an.AnnulusGrid(9, 16)).flux_to_trace
     np.testing.assert_allclose(m[:, 0], 0.0, atol=1e-14)
     np.testing.assert_allclose(m[:, -1], 0.0, atol=1e-14)
 
@@ -440,7 +439,7 @@ def test_sentinel_equation_solve_has_small_residual():
     psi_bar = an.BoundaryTrace(g, an.GAMMA_L, np.ones(g.n_half + 1))
     mu = an.BoundaryTrace(g, an.GAMMA_R, an.apply_A_sharp(g, psi_bar).values)
     psi = an.solve_sentinel_equation(g, mu)
-    m = an.flux_to_trace_matrix(g)
+    m = an.grid_solver(g).flux_to_trace
     assert np.max(np.abs(m @ psi.values + mu.values)) < 1e-8
 
 
@@ -467,10 +466,9 @@ def test_sentinel_reconstruct_recovers_functional():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Empty the solver and TSVD caches and count AnnulusBVPSolver
-    constructions."""
+    """Empty the solver cache, which holds each grid's TSVD too, and count
+    AnnulusBVPSolver constructions."""
     an.grid_solver.cache_clear()
-    an.flux_to_trace_svd.cache_clear()
     calls = []
     original = an.AnnulusBVPSolver.__init__
 
@@ -481,7 +479,6 @@ def factorizations(monkeypatch):
     monkeypatch.setattr(an.AnnulusBVPSolver, "__init__", counting)
     yield calls
     an.grid_solver.cache_clear()
-    an.flux_to_trace_svd.cache_clear()
 
 
 def test_table1_factorizes_once(factorizations):
@@ -530,7 +527,7 @@ def test_cached_trace_operators_match_a_fresh_solver():
 
 def fresh_tsvd_psi(g, mu):
     """TSVD solve of -A_sharp(psi) = mu from an uncached SVD."""
-    u, s, vt = np.linalg.svd(an.flux_to_trace_matrix(g))
+    u, s, vt = np.linalg.svd(an.grid_solver(g).flux_to_trace)
     keep = s > an.SENTINEL_RCOND * s[0]
     return vt[keep].T @ ((u[:, keep].T @ (-mu.values)) / s[keep])
 
@@ -557,7 +554,7 @@ def test_flux_to_trace_matrix_matches_a_fresh_solver():
         v = oracle.solve(gamma_l=unit)
         columns.append(oracle.outer_normal_derivative(v)[gr_idx])
     expected = np.column_stack(columns)
-    matrix = an.flux_to_trace_matrix(g)
+    matrix = an.grid_solver(g).flux_to_trace
     assert np.max(np.abs(matrix - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
@@ -589,14 +586,62 @@ def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch
 
 
 def test_cached_tsvd_factors_are_read_only(factorizations):
-    g = an.AnnulusGrid(9, 16)
-    for factor in an.flux_to_trace_svd(g):
+    solver = an.grid_solver(an.AnnulusGrid(9, 16))
+    assert solver.tsvd is solver.tsvd
+    for factor in (solver.flux_to_trace, *solver.tsvd):
         with pytest.raises(ValueError):
             factor[0] = 1.0
-    # the public matrix stays a fresh, writable array
-    matrix = an.flux_to_trace_matrix(g)
-    matrix[0, 0] = 1.0
-    assert an.flux_to_trace_matrix(g)[0, 0] != 1.0
+
+
+def test_table1_and_an_iteration_share_one_svd(factorizations, monkeypatch, tmp_path):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a):
+        calls.append(a.shape)
+        return svd(a)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    table1_rows()
+    g = an.AnnulusGrid(33, 128)
+    an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=2)
+    _run_table1(ExperimentConfig("table1"), str(tmp_path))
+    assert calls == [(65, 65)]
+    assert factorizations == [g]
+    lines = (tmp_path / "table1_tsvd.csv").read_text().splitlines()[1:]
+    kept = [int(line.split(",")[3]) for line in lines]
+    assert kept == sorted(kept, reverse=True)
+    assert sum(kept) == an.grid_solver(g).tsvd[2].size
+
+
+def _ones(grid, segment):
+    return an.BoundaryTrace(grid, segment, np.ones(grid.n_half + 1))
+
+
+# Each annulus entry point on grid g, given one trace on grid h
+_ENTRY_POINTS = {
+    "apply_A": lambda g, h: an.apply_A(g, _ones(h, an.GAMMA_R)),
+    "apply_A_sharp": lambda g, h: an.apply_A_sharp(g, _ones(h, an.GAMMA_L)),
+    "solve_sentinel_equation": lambda g, h: an.solve_sentinel_equation(g, _ones(h, an.GAMMA_R)),
+    "kozlov_mazya_solve": lambda g, h: an.kozlov_mazya_solve(g, _ones(h, an.GAMMA_R), max_iter=2),
+    "sentinel_reconstruct_psi": lambda g, h: an.sentinel_reconstruct(
+        g, _ones(h, an.GAMMA_L), _ones(g, an.GAMMA_L), 1.0, 1.0
+    ),
+    "sentinel_reconstruct_f": lambda g, h: an.sentinel_reconstruct(
+        g, _ones(g, an.GAMMA_L), _ones(h, an.GAMMA_L), 1.0, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_annulus_entry_points_reject_a_trace_of_another_grid(entry):
+    # 9 x 16 and 17 x 16 share n_half, so a trace of one has the length
+    # the other expects; kozlov_mazya_solve used to read such a mu as data
+    # (residuals 1.0, 0.973, 0.948)
+    g = an.AnnulusGrid(9, 16)
+    _ENTRY_POINTS[entry](g, g)
+    with pytest.raises(ValueError, match="grid"):
+        _ENTRY_POINTS[entry](g, an.AnnulusGrid(17, 16))
 
 
 def mirror_nodes(grid):
@@ -1018,7 +1063,7 @@ def test_kozlov_mazya_fixes_the_flux_and_never_raises_the_error_energy(g, data):
     psi_bar = data.draw(hnp.arrays(float, g.n_half + 1, elements=elements))
     mu = -an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi_bar)).values
     solver = an.grid_solver(g)
-    step, flux_to_trace = solver.step_matrix, solver._flux_to_trace
+    step, flux_to_trace = solver.step_matrix, solver.flux_to_trace
     # psi_bar's interior values are a fixed point of the step
     image = step @ psi_bar[1:-1] - flux_to_trace @ mu
     scale = np.abs(step) @ np.abs(psi_bar[1:-1]) + np.abs(flux_to_trace) @ np.abs(mu)

@@ -207,6 +207,22 @@ def test_unwritable_output_dir(tmp_path):
     assert code == EXIT_UNWRITABLE
 
 
+def test_output_dir_under_a_regular_file_exits_unwritable(tmp_path, capsys):
+    # needs no permission bits, so it runs as root too
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["hadamard", "--out", str(blocker / "out")]) == EXIT_UNWRITABLE
+    assert "Not a directory" in capsys.readouterr().err
+
+
+def test_artifact_path_that_is_a_directory_exits_unwritable(tmp_path, capsys):
+    (tmp_path / "hadamard.csv").mkdir()
+    assert main(["hadamard", "--out", str(tmp_path)]) == EXIT_UNWRITABLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifact") and "Is a directory" in err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n=30\nnu=0.5\nseed=7\n# comment\nout=ignored\n")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,6 @@ from bgrecon.solver import (
     reconstruct_profile,
     reconstruct_value,
     solve_weights,
-    subspace_distance,
 )
 from bgrecon.volterra import (
     DiscreteForwardMap,
@@ -220,7 +221,6 @@ def test_error_budget_triangle_identity():
     budget = error_budget(op, x_star, x0, phi, mu, y, y_eps, fmap, basis)
     recon = reconstruct_value(phi, y_eps)
     assert abs(mu(x_star) - recon) <= budget.total + 1e-10
-    assert budget.dist_x_star is not None
 
 
 def test_error_budget_rejects_negative_terms():
@@ -230,12 +230,36 @@ def test_error_budget_rejects_negative_terms():
         ErrorBudget(-1.0, 0.0, 0.0, 0.0)
 
 
-def test_subspace_distance_zero_on_span():
-    grid, basis, _, _ = make_setup(15)
-    rng = np.random.default_rng(4)
-    coeffs = rng.standard_normal(basis.size)
-    x = SampledFunction(grid, basis.eval_combination(coeffs, grid.nodes))
-    assert subspace_distance(basis, x) == pytest.approx(0.0, abs=1e-10)
+# Each moment entry point that takes op and fmap, with data y of x and
+# the target t = 0.5
+_MOMENT_ENTRY_POINTS = {
+    "assemble": lambda op, basis, x, y, fmap: assemble_adjoint_system(
+        op, basis, op.kernel, delta_moments(basis, 0.5), fmap
+    ),
+    "profile": lambda op, basis, x, y, fmap: reconstruct_profile(
+        op, basis, op.kernel, y, [0.5], fmap
+    ),
+    "refinement": lambda op, basis, x, y, fmap: iterative_refinement(
+        op, basis, op.kernel, y, [0.5], 1, fmap
+    ),
+    "error_budget": lambda op, basis, x, y, fmap: error_budget(
+        op, x, op.kernel, WeightVector(np.zeros(y.size)), lambda f: float(f(0.5)), y, y, fmap, basis
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _MOMENT_ENTRY_POINTS)
+def test_moment_entry_points_reject_a_map_of_another_operator(entry):
+    # kernel t, nu = 0, x = 1 + t^2: with the map of a 3t kernel in place
+    # of op's own, the profile at t = 0.5 used to read 0.4167, not 1.2500
+    grid, basis, op, fmap = make_setup(16)
+    x = SampledFunction.from_callable(grid, lambda t: 1 + t * t)
+    y = forward_data(fmap, x)
+    call = partial(_MOMENT_ENTRY_POINTS[entry], op, basis, x, y)
+    call(fmap)
+    other = QuadraticVolterraOperator(SampledFunction(grid, 3 * grid.nodes), 0.0)
+    with pytest.raises(ValueError, match="another operator"):
+        call(DiscreteForwardMap(other))
 
 
 def test_iterative_refinement_rejects_bad_rounds():
