@@ -23,6 +23,7 @@ from bgrecon.volterra import (
     DiscreteForwardMap,
     QuadraticVolterraOperator,
     forward_data,
+    linearization_matrix,
 )
 
 
@@ -221,6 +222,40 @@ def test_error_budget_triangle_identity():
     budget = error_budget(op, x_star, x0, phi, mu, y, y_eps, fmap, basis)
     recon = reconstruct_value(phi, y_eps)
     assert abs(mu(x_star) - recon) <= budget.total + 1e-10
+
+
+@st.composite
+def linearization_remainders(draw):
+    """Operator with a sampled kernel and weight nu, sampled x* and x0, and
+    a weight vector over the measurement nodes."""
+    n = draw(st.integers(1, 40))
+    grid = UniformGrid(n)
+    values = st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)
+    sampled = values.map(lambda v: SampledFunction(grid, np.asarray(v)))
+    op = QuadraticVolterraOperator(draw(sampled), draw(st.floats(0.0, 1.0)))
+    w = draw(values.map(lambda v: np.asarray(v[1:])))
+    return op, draw(sampled), draw(sampled), w
+
+
+@given(linearization_remainders())
+def test_linearization_remainder_is_exact(case):
+    # A is quadratic, so A x* - A x0 - D(x0)(x* - x0) = nu A1(x* - x0),
+    # with A1 the quadratic part alone (zero kernel, nu = 1); the error
+    # budget's linearization term is that remainder under the weights
+    op, x_star, x0, w = case
+    fmap = DiscreteForwardMap(op)
+    diff = SampledFunction(op.grid, x_star.values - x0.values)
+    zero = SampledFunction(op.grid, np.zeros_like(diff.values))
+    quadratic = op.nu * forward_data(DiscreteForwardMap(QuadraticVolterraOperator(zero, 1.0)), diff)
+    remainder = (
+        forward_data(fmap, x_star)
+        - forward_data(fmap, x0)
+        - linearization_matrix(fmap, x0) @ diff.values
+    )
+    np.testing.assert_allclose(remainder, quadratic, rtol=0, atol=1e-14)
+    y = np.zeros(w.size)
+    budget = error_budget(op, x_star, x0, WeightVector(w), lambda f: 0.0, y, y, fmap)
+    assert budget.linearization_term == pytest.approx(abs(w @ quadratic), rel=0, abs=1e-12)
 
 
 def test_error_budget_rejects_negative_terms():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,42 @@ def test_forward_data_exact_against_closed_form():
         assert y[i] == pytest.approx(t**3 / 3, rel=1e-6)
 
 
+def _table_cut(op, x_fn, nodes, m):
+    """forward_data_exact's y, and the cut of the key table it filled
+    (its largest key), or None where it took the doubling pass."""
+    with mock.patch.object(volterra, "_key_table", wraps=volterra._key_table) as table:
+        y = forward_data_exact(op, x_fn, nodes, m=m)
+    return y, table.call_args.args[-1] if table.called else None
+
+
+def _ramp(t):
+    return np.maximum(t - 0.5, 0.0)
+
+
+# (Ax)(t) for kernel t in closed form: the linear part is the second
+# antiderivative of x (x_a = s/2 + (s - 1/2)_+ / 2, x_b = 2s - 4 (s - 1/2)_+),
+# and x_sq's autoconvolution is t^5/30.
+CLOSED_FORMS = {
+    "x_a": (x_a, 0.0, lambda t: t**3 / 12 + _ramp(t) ** 3 / 12),
+    "x_b": (x_b, 0.0, lambda t: t**3 / 3 - 2 * _ramp(t) ** 3 / 3),
+    "x_sq": (x_sq, 0.0, lambda t: t**4 / 12),
+    "x_sq-nu0.5": (x_sq, 0.5, lambda t: t**4 / 12 + 0.5 * t**5 / 30),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORMS)
+@pytest.mark.parametrize("n", [25, 32, 50, 64])
+def test_forward_data_exact_against_closed_forms_on_both_paths(case, n):
+    # N = 32 and 64 take the key table at m = 4096, N = 25 and 50 the
+    # doubling pass; both stay within the dense trapezoid rule's error
+    x_fn, nu, exact = CLOSED_FORMS[case]
+    op = make_op(n, nu=nu)
+    y, cut = _table_cut(op, x_fn, None, 4096)
+    assert (cut is not None) == (n in (32, 64))
+    closed = exact(op.grid.nodes[1:])
+    assert np.max(np.abs(y - closed)) <= 1e-7 * np.max(np.abs(closed))
+
+
 def test_forward_data_exact_rejects_no_subintervals():
     with pytest.raises(ValueError):
         forward_data_exact(make_op(4), x_b, m=0)
@@ -123,19 +162,72 @@ def _doubled_rows(nodes):
     return int(np.sum((f[1:] == f[:-1]) & (e[1:] == e[:-1] + 1) & (f[1:] != 0)))
 
 
-def _expected_calls(op, nodes, m):
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
+def _doubling_calls(nodes, m):
+    """x_fn calls without the key table: one per dense point, less the
+    first (m + 1) // 2 points of each node exactly twice another."""
     return len(nodes) * (m + 1) - _doubled_rows(nodes) * ((m + 1) // 2)
 
 
+def _key_unit(nodes, m):
+    """Exact oracle of the key table's reach: the coarsest power of two u
+    that divides every step t / m, when no step is negative or underflows
+    to 0 (t != 0) and the keys 0 ... m * max(step / u) // 2 fill at most
+    half of the dense points; else None."""
+    steps = [Fraction(float(t) / m) for t in nodes]
+    if any(s < 0 or (s == 0) != (t == 0) for s, t in zip(steps, nodes)):
+        return None
+    ratios = [s.as_integer_ratio() for s in steps if s]
+    if not ratios:
+        return None
+    unit = min(Fraction(p & -p, q) for p, q in ratios)
+    cut = m * int(max(steps) / unit) // 2
+    return unit if 2 * (cut + 1) <= len(nodes) * (m + 1) else None
+
+
+def _expected_calls(op, nodes, m):
+    """On the key table, one call per distinct key at or below the cut,
+    plus each node's points above it and each last point t other than
+    m * step; else the doubling rule."""
+    if nodes is None:
+        nodes = op.grid.nodes[1:]
+    unit = _key_unit(nodes, m)
+    if unit is None:
+        return _doubling_calls(nodes, m)
+    n = [int(Fraction(float(t) / m) / unit) for t in nodes]
+    cut = m * max(n) // 2
+    keys, calls = set(), 0
+    for t, nj in zip(nodes, n):
+        on_grid = m * (float(t) / m) == t
+        node_keys = np.arange(m + on_grid) * nj
+        keys.update(node_keys[node_keys <= cut].tolist())
+        calls += int(np.sum(node_keys > cut)) + (not on_grid)
+    return len(keys) + calls
+
+
+def _check_calls(op, x_fn, nodes, m):
+    """forward_data_exact equals the loop oracle bit for bit, makes the
+    expected calls, never more than the doubling rule, and keeps its key
+    table within half of the dense points."""
+    args = []
+
+    def counted(t):
+        args.append(t)
+        return x_fn(t)
+
+    y, cut = _table_cut(op, counted, nodes, m)
+    assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, nodes, m=m))
+    if nodes is None:
+        nodes = op.grid.nodes[1:]
+    assert len(args) == _expected_calls(op, nodes, m)
+    assert len(args) <= _doubling_calls(nodes, m)
+    assert (cut is None) == (_key_unit(nodes, m) is None)
+    if cut is not None:
+        assert 2 * (cut + 1) <= len(nodes) * (m + 1)
+
+
 @st.composite
-def piecewise_linear_cases(draw):
-    """Operator, scalar piecewise-linear callable with if branches, m and
-    measurement nodes: None for the grid nodes, else off-grid nodes with
-    doubling chains t, 2t, 4t, duplicates and 0.0, in any order."""
-    n = draw(st.integers(4, 8))
-    op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
+def branchy_callables(draw):
+    """Scalar piecewise-linear callable with if branches."""
     k1, k2 = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2)))
     v0, v1, v2 = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 
@@ -146,6 +238,17 @@ def piecewise_linear_cases(draw):
             return v1 - v2 * (t - k1)
         return v2 * t
 
+    return x_fn
+
+
+@st.composite
+def piecewise_linear_cases(draw):
+    """Operator, scalar piecewise-linear callable with if branches, m and
+    measurement nodes: None for the grid nodes, else off-grid nodes with
+    doubling chains t, 2t, 4t, duplicates and 0.0, in any order."""
+    n = draw(st.integers(4, 8))
+    op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
+    x_fn = draw(branchy_callables())
     m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 8 * n + 1, 4096]))
     nodes = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
     chains = draw(st.lists(st.floats(1e-3, 0.25), max_size=3))
@@ -160,17 +263,30 @@ def piecewise_linear_cases(draw):
 @given(piecewise_linear_cases())
 def test_forward_data_exact_matches_loop_for_branchy_callables(case):
     op, x_fn, m, nodes = case
-    args = []
+    _check_calls(op, x_fn, nodes, m)
 
-    def counted(t):
-        args.append(t)
-        return x_fn(t)
 
-    assert np.array_equal(
-        forward_data_exact(op, counted, nodes, m=m),
-        _forward_data_exact_loop(op, x_fn, nodes, m=m),
-    )
-    assert len(args) == _expected_calls(op, nodes, m)
+@st.composite
+def dyadic_cases(draw):
+    """Operator, branchy callable, m and nodes i / N, N = 2**p: the grid
+    nodes less a few, with duplicates and 0.0, in any order. With m a
+    power of two most take the key table; m = 3 or 7 cannot."""
+    n = 2 ** draw(st.integers(0, 5))
+    op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
+    x_fn = draw(branchy_callables())
+    m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 4096]))
+    dropped = draw(st.sets(st.integers(1, n), max_size=n // 4))
+    i = [j for j in range(1, n + 1) if j not in dropped]
+    i += draw(st.lists(st.integers(1, n), max_size=4))
+    nodes = [j / n for j in i] + [0.0] * draw(st.integers(0, 2))
+    return op, x_fn, m, draw(st.permutations(nodes).map(np.asarray))
+
+
+@settings(max_examples=40)
+@given(dyadic_cases())
+def test_forward_data_exact_key_table_on_dyadic_nodes(case):
+    op, x_fn, m, nodes = case
+    _check_calls(op, x_fn, nodes, m)
 
 
 @pytest.mark.parametrize("zero_node", [False, True])
@@ -213,13 +329,15 @@ def test_forward_data_exact_matches_loop_where_steps_underflow(m):
     [
         (12, None, 96, 876),
         (12, np.array([0.13, 0.5, 0.91]), 96, 291),
-        (64, None, 4096, 196_672),
+        (64, None, 4096, 118_424),
     ],
     ids=["None", "nodes1", "N64-m4096"],
 )
 def test_forward_data_exact_calls_x_with_python_floats(n, nodes, m, calls):
+    # N * m = 1152 and the nodes 0.13 ... are no power-of-two multiples:
     # one call per dense point, less the first (m + 1) // 2 points of each
-    # node exactly twice another: every even grid node i/N
+    # node exactly twice another, every even grid node i/N. At N = 64,
+    # m = 4096 the key table serves every point up to t = 1/2 once.
     op = make_op(n, nu=0.2)
     args = []
 
@@ -231,6 +349,34 @@ def test_forward_data_exact_calls_x_with_python_floats(n, nodes, m, calls):
     assert len(args) == calls
     assert calls == _expected_calls(op, nodes, m)
     assert all(type(t) is float for t in args)
+
+
+def _subnormal_count(t):
+    return t * 2.0**537 * 2.0**537
+
+
+@pytest.mark.parametrize(
+    "nodes, m, keyed",
+    [
+        # 5 * 2**-1074 / 4 rounds to the step 2**-1074, 4 steps short of
+        # the node: its last point is no key and is called; 2**-1071 has
+        # step 2 * 2**-1074, and the cut is key 4
+        ([5 * 2.0**-1074, 2.0**-1071], 4, True),
+        # the unit cannot go below 2**-1074, so the cut m // 2 lies below
+        # a 0.0 node's last point, yet all its points are key 0
+        ([4 * 2.0**-1074, 0.0, 4 * 2.0**-1074], 4, True),
+        # 2**-1074 / 4 underflows to 0 beside the steps 2**-1073 and
+        # 2**-1072: np.linspace's rule, on the doubling pass
+        ([2.0**-1074, 2.0**-1071, 2.0**-1070], 4, False),
+    ],
+    ids=["off-grid-last", "zero-node", "underflow"],
+)
+def test_forward_data_exact_key_table_edges(nodes, m, keyed):
+    # x counts the smallest subnormals, so a misplaced point shows in y
+    op = make_op(4, nu=0.3)
+    nodes = np.asarray(nodes)
+    _check_calls(op, _subnormal_count, nodes, m)
+    assert (_table_cut(op, _subnormal_count, nodes, m)[1] is not None) == keyed
 
 
 def test_linearization_uses_doubled_quadratic_term():
