@@ -114,12 +114,6 @@ class BoundaryTrace:
         values = np.fromiter(map(fn, grid.arc_params.tolist()), float, grid.n_half + 1)
         return cls(grid, segment, values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,arc_parameter,value\n")
-            for i, (t, v) in enumerate(zip(self.grid.arc_params, self.values)):
-                fh.write(f"{i},{t:.12g},{v:.12g}\n")
-
 
 # Normwise backward-error limit of a block solve (Rigal-Gaches; Higham,
 # Accuracy and Stability of Numerical Algorithms, section 7.1). Solves

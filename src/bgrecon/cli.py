@@ -33,8 +33,8 @@ import numpy as np
 from . import annulus
 from .bspline import CubicBSplineBasis
 from .grid import SampledFunction, UniformGrid, noise_direction
-from .hadamard import amplification_table, amplification_table_to_csv
-from .solver import profile_to_csv, reconstruct_profile
+from .hadamard import amplification_table
+from .solver import reconstruct_profile
 from .svgplot import emit_plot
 from .volterra import (
     DiscreteForwardMap,
@@ -139,11 +139,22 @@ def _error_at_half(n, fn):
 # --- experiment runners -----------------------------------------------------
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write one CSV artifact: the header line, then one line per row,
+    floats as %.12g and every other field with str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fields = (f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(fields) + "\n")
+
+
 def _plot_reconstructions(out: str, plots) -> list[str]:
     """Write one reconstruction CSV per curve and one SVG per plot, and
     return the paths in write order. plots holds (svg, curves) pairs; a
-    curve is (legend, csv, fn, N, nu) for exact data, or (legend, csv,
-    fn, N, nu, eps, seed) for data with relative noise eps."""
+    curve is (legend, file name, fn, N, nu) for exact data, or (legend,
+    file name, fn, N, nu, eps, seed) for data with relative noise eps.
+    Each SVG draws its curves' reconstructed values over t."""
     files = []
     for svg, curves in plots:
         series = []
@@ -155,9 +166,9 @@ def _plot_reconstructions(out: str, plots) -> list[str]:
                 y = y + y * eps * noise_direction(y.shape, seed)
             pairs = reconstruct_profile(op, basis, op.kernel, y, _targets(grid), fmap)
             path = os.path.join(out, csv)
-            profile_to_csv(pairs, path, truth=fn)
+            _write_csv(path, "t,reconstructed,truth", [(t, v, fn(t)) for t, v in pairs])
             files.append(path)
-            series.append((legend, path))
+            series.append((legend, *zip(*pairs)))
         path = os.path.join(out, svg)
         emit_plot(series, path)
         files.append(path)
@@ -207,22 +218,19 @@ def loglog_slope(ns, errs):
 def _run_fig3(cfg: ExperimentConfig, out: str) -> list[str]:
     rows = fig3_errors()
     path = os.path.join(out, "fig3_errors.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("N,err_xa,err_xb,parity\n")
-        for n, ea, eb in rows:
-            parity = "even" if n % 2 == 0 else "odd"
-            fh.write(f"{n},{ea:.12g},{eb:.12g},{parity}\n")
+    _write_csv(
+        path,
+        "N,err_xa,err_xb,parity",
+        [(n, ea, eb, "odd" if n % 2 else "even") for n, ea, eb in rows],
+    )
     even = [(n, ea, eb) for n, ea, eb in rows if n % 2 == 0]
     ns = [r[0] for r in even]
     slope_a = loglog_slope(ns, [r[1] for r in even])
     slope_b = loglog_slope(ns, [r[2] for r in even])
     spath = os.path.join(out, "fig3_slopes.csv")
-    with open(spath, "w", newline="") as fh:
-        fh.write("function,loglog_slope\n")
-        fh.write(f"x_a,{slope_a:.12g}\n")
-        fh.write(f"x_b,{slope_b:.12g}\n")
+    _write_csv(spath, "function,loglog_slope", [("x_a", slope_a), ("x_b", slope_b)])
     svg = os.path.join(out, "fig3.svg")
-    emit_plot([("error x_a", path)], svg)
+    emit_plot([("error x_a", [r[0] for r in rows], [r[1] for r in rows])], svg)
     return [path, spath, svg]
 
 
@@ -251,16 +259,16 @@ def _run_fig6(cfg: ExperimentConfig, out: str) -> list[str]:
     )
     files = []
     series = []
+    t = grid.arc_params
     for k, trace in result.iterates:
         path = os.path.join(out, f"fig6_psi_k{k}.csv")
-        trace.to_csv(path)
+        _write_csv(
+            path, "index,arc_parameter,value", zip(range(t.size), t, trace.values)
+        )
         files.append(path)
-        series.append((f"k={k}", path))
+        series.append((f"k={k}", t, trace.values))
     rpath = os.path.join(out, "fig6_residuals.csv")
-    with open(rpath, "w", newline="") as fh:
-        fh.write("iteration,residual\n")
-        for k, res in enumerate(result.residuals):
-            fh.write(f"{k},{res:.12g}\n")
+    _write_csv(rpath, "iteration,residual", enumerate(result.residuals))
     files.append(rpath)
     svg = os.path.join(out, "fig6.svg")
     emit_plot(series, svg)
@@ -307,26 +315,21 @@ def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
 def _run_table1(cfg: ExperimentConfig, out: str) -> list[str]:
     rows = table1_rows()
     path = os.path.join(out, "table1.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("phi,mu_phi,psi_f,corrected,relative_error\n")
-        for name, truth, raw, corrected, rel in rows:
-            fh.write(
-                f"{name},{truth:.12g},{raw:.12g},{corrected:.12g},{rel:.12g}\n"
-            )
+    _write_csv(path, "phi,mu_phi,psi_f,corrected,relative_error", rows)
     # the spectrum behind psi: table1_rows filled the cache for this grid
     sigma, _, kept, _ = annulus.grid_solver(annulus.AnnulusGrid(*TABLE1_GRID)).tsvd
     spath = os.path.join(out, "table1_tsvd.csv")
-    with open(spath, "w", newline="") as fh:
-        fh.write("index,sigma,relative,kept\n")
-        for i, s in enumerate(sigma):
-            fh.write(f"{i},{s:.12g},{s / sigma[0]:.12g},{int(i < kept.size)}\n")
+    _write_csv(
+        spath,
+        "index,sigma,relative,kept",
+        [(i, s, s / sigma[0], int(i < kept.size)) for i, s in enumerate(sigma)],
+    )
     return [path, spath]
 
 
 def _run_hadamard(cfg: ExperimentConfig, out: str) -> list[str]:
-    rows = amplification_table(6)
     path = os.path.join(out, "hadamard.csv")
-    amplification_table_to_csv(rows, path)
+    _write_csv(path, "k,data_norm,solution_sup,ratio", amplification_table(6))
     return [path]
 
 

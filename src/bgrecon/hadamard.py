@@ -56,10 +56,3 @@ def amplification_table(k_max: int) -> list[tuple[int, float, float, float]]:
         ratio = _sinh(pk, pk)
         rows.append((k, data_norm, solution_sup, ratio))
     return rows
-
-
-def amplification_table_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("k,data_norm,solution_sup,ratio\n")
-        for k, dn, ss, ratio in rows:
-            fh.write(f"{k},{dn:.12g},{ss:.12g},{ratio:.12g}\n")

@@ -151,13 +151,6 @@ def reconstruct_profile(
     return [(t0, float(v)) for t0, v in zip(targets, values)]
 
 
-def profile_to_csv(pairs, path, truth: Callable[[float], float]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,reconstructed,truth\n")
-        for t0, v in pairs:
-            fh.write(f"{t0:.12g},{v:.12g},{truth(t0):.12g}\n")
-
-
 def iterative_refinement(
     op: QuadraticVolterraOperator,
     basis: CubicBSplineBasis,

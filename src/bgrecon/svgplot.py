@@ -1,12 +1,10 @@
-"""Deterministic SVG line plots from two-column CSV files.
+"""Deterministic SVG line plots from (x, y) arrays.
 
 Fixed 800x500 viewport, no timestamps or generated ids, so identical
 inputs produce byte-identical output.
 """
 
 from __future__ import annotations
-
-import os
 
 WIDTH = 800
 HEIGHT = 500
@@ -15,28 +13,13 @@ MARGIN = 60
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _read_xy(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    xs, ys = [], []
-    with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2:
-                continue
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-    return xs, ys
-
-
-def emit_plot(series: list[tuple[str, str]], out: str) -> None:
-    """Overlay the first two CSV columns of each (label, csv_path) series."""
+def emit_plot(series, out: str) -> None:
+    """Overlay the (label, xs, ys) series as polylines of the points
+    (xs[i], ys[i]); xs and ys must have one length."""
     if not series:
         raise ValueError("series list must be nonempty")
-    data = [(label, *_read_xy(path)) for label, path in series]
-    all_x = [x for _, xs, _ in data for x in xs]
-    all_y = [y for _, _, ys in data for y in ys]
+    all_x = [x for _, xs, _ in series for x in xs]
+    all_y = [y for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -67,9 +50,11 @@ def emit_plot(series: list[tuple[str, str]], out: str) -> None:
         f'<text x="{MARGIN - 5}" y="{MARGIN + 10}" font-size="12" '
         f'text-anchor="end">{y_hi:.4g}</text>',
     ]
-    for idx, (label, xs, ys) in enumerate(data):
+    for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = " ".join(
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys, strict=True)
+        )
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -163,16 +163,6 @@ def test_boundary_trace_validation():
         an.BoundaryTrace(g, "gamma_i", np.zeros(g.n_theta))
 
 
-def test_trace_csv_round_trip(tmp_path):
-    g = an.AnnulusGrid(9, 16)
-    trace = an.BoundaryTrace.from_callable(g, an.GAMMA_R, lambda t: np.sin(t))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,arc_parameter,value"
-    assert len(lines) == g.n_half + 2
-
-
 @pytest.mark.parametrize(
     "data",
     [

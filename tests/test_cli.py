@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -364,3 +365,92 @@ def test_fig3_slopes_artifact(tmp_path):
     ns = [r[0] for r in rows]
     slope = loglog_slope(ns, [r[1] for r in rows])
     assert slope < -1.0
+
+
+PROFILE = "t,reconstructed,truth"
+# fig6 runs on the 17 x 64 annulus grid: 33 nodes on an outer half
+FIG6_N_HALF = 32
+FIG6_ITERATES = (1, 2, 5, 10, 25, 50, 100)
+# per experiment at default flags: each CSV artifact's header and line count
+CSV_ARTIFACTS = {
+    "fig1": {
+        f"fig1_{name}_N{n}.csv": (PROFILE, 2 * n + 2)
+        for name in ("x_a", "x_b", "x_c")
+        for n in (25, 50)
+    },
+    "fig2": {f"fig2_{name}_N25.csv": (PROFILE, 52) for name in ("x_a", "x_b", "x_c")},
+    "fig3": {
+        "fig3_errors.csv": ("N,err_xa,err_xb,parity", 42),
+        "fig3_slopes.csv": ("function,loglog_slope", 3),
+    },
+    "fig4": {f"fig4_nu{nu}.csv": (PROFILE, 52) for nu in ("0.01", "0.1", "1")},
+    "fig5": {f"fig5_{name}.csv": (PROFILE, 52) for name in ("x_b", "x_c")},
+    "fig6": {
+        **{
+            f"fig6_psi_k{k}.csv": ("index,arc_parameter,value", FIG6_N_HALF + 2)
+            for k in FIG6_ITERATES
+        },
+        "fig6_residuals.csv": ("iteration,residual", 102),
+    },
+    "table1": {
+        "table1.csv": ("phi,mu_phi,psi_f,corrected,relative_error", 3),
+        "table1_tsvd.csv": ("index,sigma,relative,kept", 66),
+    },
+    "hadamard": {"hadamard.csv": ("k,data_norm,solution_sup,ratio", 7)},
+}
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """The output directory of an experiment run at default flags, made
+    once per experiment for the module."""
+    outs = {}
+
+    def run(experiment):
+        if experiment not in outs:
+            out = tmp_path_factory.mktemp(experiment)
+            assert main([experiment, "--out", str(out)]) == EXIT_OK
+            outs[experiment] = out
+        return outs[experiment]
+
+    return run
+
+
+@pytest.mark.parametrize("experiment", sorted(CSV_ARTIFACTS))
+def test_csv_artifacts_have_their_header_and_row_count(default_run, experiment):
+    out = default_run(experiment)
+    expected = CSV_ARTIFACTS[experiment]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(expected)
+    for name, (header, n_lines) in expected.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) == n_lines, name
+        n_fields = header.count(",") + 1
+        assert all(line.count(",") + 1 == n_fields for line in lines[1:]), name
+
+
+def test_fig6_plot_draws_each_kept_iterate_over_the_arc(default_run):
+    out = default_run("fig6")
+    svg = (out / "fig6.svg").read_text()
+    polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+    assert len(polylines) == len(FIG6_ITERATES)
+    assert len(set(polylines)) == len(polylines)
+    assert all(len(p.split()) == FIG6_N_HALF + 1 for p in polylines)
+    values = [
+        float(line.split(",")[2])
+        for k in FIG6_ITERATES
+        for line in (out / f"fig6_psi_k{k}.csv").read_text().splitlines()[1:]
+    ]
+    y_labels = re.findall(r'<text x="55" [^>]*>([^<]*)</text>', svg)
+    assert y_labels == [f"{min(values):.4g}", f"{max(values):.4g}"]
+
+
+@pytest.mark.parametrize("experiment", ["fig3", "fig6"])
+def test_plotting_runs_repeat_byte_for_byte(tmp_path, experiment):
+    outs = []
+    for run in ("r1", "r2"):
+        out = tmp_path / run
+        assert main([experiment, "--out", str(out)]) == EXIT_OK
+        outs.append(out)
+    assert any(name.endswith(".svg") for name in os.listdir(outs[0]))
+    assert_same_files(outs)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bgrecon.hadamard import amplification_table, amplification_table_to_csv, phi_k, u_k
+from bgrecon.hadamard import amplification_table, phi_k, u_k
 
 
 def test_instance_rejects_nonpositive_k():
@@ -54,14 +54,6 @@ def test_large_k_does_not_overflow():
     rows = amplification_table(300)
     assert all(math.isfinite(r[1]) for r in rows)
     assert rows[200][3] > 1e200
-
-
-def test_csv_output(tmp_path):
-    path = tmp_path / "hadamard.csv"
-    amplification_table_to_csv(amplification_table(3), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,data_norm,solution_sup,ratio"
-    assert len(lines) == 4
 
 
 def test_solution_beyond_the_log_scale_switch_is_unchanged():

@@ -1,13 +1,7 @@
+import numpy as np
 import pytest
 
 from bgrecon.svgplot import emit_plot
-
-
-def write_csv(path, rows, header="x,y"):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def test_emit_plot_rejects_empty_series(tmp_path):
@@ -15,49 +9,39 @@ def test_emit_plot_rejects_empty_series(tmp_path):
         emit_plot([], str(tmp_path / "out.svg"))
 
 
-def test_emit_plot_missing_csv(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        emit_plot([("a", str(tmp_path / "nope.csv"))], str(tmp_path / "out.svg"))
+def test_emit_plot_rejects_mismatched_lengths(tmp_path):
+    out = tmp_path / "out.svg"
+    with pytest.raises(ValueError):
+        emit_plot([("s", [0, 1, 2], [0, 1])], str(out))
+    assert not out.exists()
 
 
 def test_emit_plot_structure(tmp_path):
-    csv1 = tmp_path / "a.csv"
-    csv2 = tmp_path / "b.csv"
-    write_csv(csv1, [(0, 0), (1, 1), (2, 4)])
-    write_csv(csv2, [(0, 1), (1, 0.5), (2, 0.25)])
     out = tmp_path / "plot.svg"
-    emit_plot([("quad", str(csv1)), ("decay", str(csv2))], str(out))
+    xs = np.array([0.0, 1.0, 2.0])
+    emit_plot([("quad", xs, xs**2), ("decay", [0, 1, 2], [1, 0.5, 0.25])], str(out))
     text = out.read_text()
     assert text.count("<polyline") == 2
     assert "quad" in text and "decay" in text
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
+    # the x range [0, 2] spans the plot area, the y range [0, 4] its height
+    assert 'points="60.00,440.00 400.00,345.00 740.00,60.00"' in text
 
 
 def test_emit_plot_deterministic(tmp_path):
-    csv1 = tmp_path / "a.csv"
-    write_csv(csv1, [(0, 3), (0.5, 2), (1, 5)])
     out1 = tmp_path / "p1.svg"
     out2 = tmp_path / "p2.svg"
-    emit_plot([("s", str(csv1))], str(out1))
-    emit_plot([("s", str(csv1))], str(out2))
+    emit_plot([("s", [0, 0.5, 1], [3, 2, 5])], str(out1))
+    emit_plot([("s", np.array([0, 0.5, 1]), np.array([3.0, 2.0, 5.0]))], str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_emit_plot_degenerate_ranges(tmp_path):
     # a single point collapses both axis ranges; padding must keep the
     # coordinate transforms finite
-    csv1 = tmp_path / "a.csv"
-    write_csv(csv1, [(1.0, 2.0)])
     out = tmp_path / "p.svg"
-    emit_plot([("pt", str(csv1))], str(out))
-    assert "nan" not in out.read_text().lower()
-
-
-def test_emit_plot_skips_short_rows(tmp_path):
-    csv1 = tmp_path / "a.csv"
-    with open(csv1, "w") as fh:
-        fh.write("x,y\n0,1\nbadline\n1,2\n")
-    out = tmp_path / "p.svg"
-    emit_plot([("s", str(csv1))], str(out))
-    assert out.read_text().count(",") >= 2
+    emit_plot([("pt", [1.0], [2.0])], str(out))
+    text = out.read_text()
+    assert "nan" not in text.lower()
+    assert 'points="60.00,440.00"' in text
