@@ -10,7 +10,6 @@ over nodes x grid, and the adjoint of dA is the transpose of its matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,45 +87,46 @@ def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
 _BLOCK_POINTS = 2**13
 
 
-def _key_table_unit(t: np.ndarray, step: np.ndarray, m: int):
-    """Unit u and integer strides n = step / u of forward_data_exact's key
-    table, or None where the table does not serve the nodes t.
+def _grid_keys(nodes: np.ndarray, n: int, m: int):
+    """Grid index i of each node, -1 off the grid, and the key table's
+    cut, -1 where no node is on the grid.
 
-    u is the finest power of two, not below 2**-1074, for which the
-    table, keys 0 ... m * max(n) // 2, holds at most half of the
-    len(t) * (m + 1) dense points.
-    It serves when every step is a multiple n * u, n >= 1 where t is not 0
-    (a step that underflows to 0 keeps np.linspace's rule)."""
-    step_max = float(step.max(initial=0.0))
-    if not 0.0 < step_max < math.inf:
-        return None
-    # step_max = a * 2**(e - 53) and u = 2**(c + e - 54), so the largest
-    # key m * max(n) // 2 is m * a // 2**c: c is the least with that
-    # below half the dense points
-    mantissa, e = math.frexp(step_max)
-    c = (m * int(mantissa * 2**53) // (len(t) * (m + 1) // 2)).bit_length()
-    unit = max(math.ldexp(1.0, c + e - 54), math.ulp(0.0))
-    if (step_max / unit) % 1:  # the common miss, from one scalar
-        return None
-    n = step / unit
-    if np.array_equal(n, np.floor(n)) and np.array_equal(n >= 1, t != 0):
-        return unit, n.astype(np.int64)
-    return None
+    A node t is a grid node when i = rint(t * n) >= 0, i / n == t bit for
+    bit and m * max(i, n) < 2**53: its dense points k * i / (n * m) are
+    then quotients of exact integers, the keys j = k * i over n * m. The
+    table holds the keys 0 ... cut, cut = m * max(i) // 2 (half the
+    largest grid node), but at most half of the call's dense points.
+    """
+    i = np.rint(nodes * n)
+    on_grid = (i >= 0) & (i / n == nodes) & (np.maximum(i, n) * m < 2.0**53)
+    i = np.where(on_grid, i, -1).astype(np.int64)
+    if not on_grid.any():
+        return i, -1
+    return i, min(m * int(i.max()) // 2, len(nodes) * (m + 1) // 2 - 1)
 
 
-def _key_table(x_fn, unit: float, stops: list, strides: list, cut: int) -> np.ndarray:
-    """x_fn at float(j) * unit for every key j <= cut read by some node, a
-    node reading keys[:stop:stride]; each such key is evaluated once.
-    float(j) * unit is the dense point k * step of every node with
-    k * n = j, bit for bit: both round the real k * n * u once (j < 2**53)."""
+def _key_table(x_fn, nm: float, reads: set, cut: int) -> np.ndarray:
+    """x_fn at key / nm for every key <= cut that some grid node reads,
+    a node reading keys[:stop:stride]; each such key is evaluated once."""
     used = np.zeros(cut + 1, dtype=bool)
-    for stop, stride in zip(stops, strides):
+    for stop, stride in reads:
         used[:stop:stride] = True
     table = np.empty(cut + 1)
     for start in range(0, cut + 1, _BLOCK_POINTS):
         keys = start + np.flatnonzero(used[start : start + _BLOCK_POINTS])
-        table[keys] = np.fromiter(map(x_fn, (keys * unit).tolist()), float, len(keys))
+        table[keys] = np.fromiter(map(x_fn, (keys / nm).tolist()), float, len(keys))
     return table
+
+
+def _linspace_rows(t: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
+    """Rows np.linspace(0, t, m + 1), bit for bit: k * fl(t / m), the
+    last point t ((k / m) * t where t / m underflows to 0)."""
+    step = t / m
+    s = k * step[:, None]
+    under = step == 0
+    s[under] = (k / m) * t[under, None]
+    s[:, -1] = t
+    return s
 
 
 def forward_data_exact(
@@ -143,26 +143,23 @@ def forward_data_exact(
     reconstruction errors reflect the approximation properties of the
     method rather than data/assembly consistency.
 
-    The dense points of a node t in [0, 1] are those of
-    np.linspace(0, t, m + 1), bit for bit: k * fl(t / m), the last one t
-    ((k / m) * t where t / m underflows to 0).
+    Each node takes its dense points s_0 = 0 ... s_m = t by its own rule:
+    - a grid node t = i / N of the operator's grid (N = op.grid.n, see
+      _grid_keys) takes s_k = fl(k * i / (N * m)), one correctly rounded
+      division of exact integers, so s_{m-k} is the rounded reflection
+      of the exact point; where N * m is a power of two this is
+      np.linspace(0, t, m + 1) bit for bit;
+    - any other node takes np.linspace(0, t, m + 1) (_linspace_rows).
 
     x_fn is a pure scalar callable float -> float. It is called with
     Python floats, which round exactly as numpy.float64 does and are
-    several times cheaper in scalar code, in unspecified order:
-    - where every step t / m is an exact multiple n * u of one power of
-      two u (nodes i / N with N * m a power of two), once per distinct
-      key j = k * n <= m * max(n) // 2 of the dense points k * step =
-      j * u, through a table of at most half the call's dense points,
-      and once per dense point above that cut or at a last point t
-      other than m * step;
-    - otherwise once per dense point, less the first (m + 1) // 2 points
-      of a node exactly twice another, which reuse that node's even
-      points.
+    several times cheaper in scalar code, in unspecified order: once per
+    distinct key j = k * i <= cut of the grid nodes, through a table of
+    at most half the call's dense points, and once per dense point above
+    the cut or of an off-grid node.
 
-    Nodes are visited by binary mantissa, then exponent, so t, 2t, 4t ...
-    follow each other, in blocks of at most _BLOCK_POINTS dense points
-    (one node when m + 1 exceeds it); each block makes one kernel
+    Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
+    node when m + 1 exceeds it); each block makes one kernel
     interpolation, one integrand and one trapezoid call.
     """
     if m < 1:
@@ -170,61 +167,38 @@ def forward_data_exact(
     if nodes is None:
         nodes = op.grid.nodes[1:]
     nodes = np.asarray(nodes, dtype=float)
-    mantissa, exponent = np.frexp(nodes)
-    order = np.lexsort((exponent, mantissa))
-    t_all = nodes[order]
-    step_all = t_all / m
-    # Row j reads its first lo points from source[:stop:stride] and calls
-    # x_fn at the rest; the source is the key table, or else the row before.
-    keyed = _key_table_unit(t_all, step_all, m)
-    if keyed is None:
-        table = None
-        # A node twice the nonzero node visited before it reuses that
-        # node's even points, s_k(2t) = s_2k(t) for k < (m + 1) // 2:
-        # fl(2t/m) = 2 fl(t/m) unless t/m underflows.
-        doubled = np.zeros(len(order), dtype=bool)
-        doubled[1:] = (
-            (t_all[1:] == 2 * t_all[:-1])
-            & (step_all[1:] == 2 * step_all[:-1])
-            & (step_all[:-1] != 0)
-        )
-        lo_all = np.where(doubled, (m + 1) // 2, 0)
-        stop_all, stride_all = 2 * lo_all, np.full(len(order), 2)
-    else:
-        unit, n_all = keyed
-        cut = m * int(n_all.max()) // 2
-        # a row reads its keys k * n <= cut (every point of a node at 0 is
-        # key 0), its last point only where that point is m * step
-        stride_all = np.maximum(n_all, 1)
-        reach = np.where(n_all > 0, cut // stride_all, m)
-        lo_all = np.minimum(reach, m - 1 + (m * step_all == t_all)) + 1
-        stop_all = (lo_all - 1) * n_all + 1
-        table = _key_table(x_fn, unit, stop_all.tolist(), stride_all.tolist(), cut)
+    n = op.grid.n
+    i_all, cut = _grid_keys(nodes, n, m)
+    nm = float(n * m)
+    # a grid node reads its first lo points from table[:stop:i] (every
+    # point of a node at 0 is key 0) and calls x_fn at the rest
+    stride_all = np.maximum(i_all, 1)
+    reach = np.where(i_all > 0, cut // stride_all, m)
+    lo_all = np.where(i_all >= 0, np.minimum(reach, m) + 1, 0)
+    stop_all = (lo_all - 1) * i_all + 1
     lo_all, stop_all, stride_all = lo_all.tolist(), stop_all.tolist(), stride_all.tolist()
-    out = np.zeros(len(order))
+    reads = {(stop, stride) for lo, stop, stride in zip(lo_all, stop_all, stride_all) if lo}
+    table = _key_table(x_fn, nm, reads, cut) if reads else None
+    out = np.zeros(len(nodes))
     k = np.arange(m + 1.0)
     rows = max(1, _BLOCK_POINTS // (m + 1))
-    prev_x = None
-    for start in range(0, len(order), rows):
+    for start in range(0, len(nodes), rows):
         block = slice(start, start + rows)
-        t, step = t_all[block], step_all[block]
-        s = k * step[:, None]
-        # np.linspace's rule where the step underflows to 0
-        under = step == 0
-        s[under] = (k / m) * t[under, None]
-        s[:, -1] = t
+        t, i = nodes[block], i_all[block]
+        s = i[:, None] * k / nm
+        off = i < 0
+        if off.any():
+            s[off] = _linspace_rows(t[off], k, m)
         x = np.empty_like(s)
         for j, (lo, stop, stride) in enumerate(
             zip(lo_all[block], stop_all[block], stride_all[block])
         ):
             if lo:
-                source = (x[j - 1] if j else prev_x) if table is None else table
-                x[j, :lo] = source[:stop:stride]
+                x[j, :lo] = table[:stop:stride]
             x[j, lo:] = np.fromiter(map(x_fn, s[j, lo:].tolist()), float, m + 1 - lo)
         x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
         integrand = op.kernel(t[:, None] - s) * x + op.nu * x_rev * x
-        out[order[block]] = np.trapezoid(integrand, s, axis=-1)
-        prev_x = x[-1].copy()
+        out[block] = np.trapezoid(integrand, s, axis=-1)
     return out
 
 

@@ -90,7 +90,7 @@ def test_forward_data_exact_against_closed_form():
 
 def _table_cut(op, x_fn, nodes, m):
     """forward_data_exact's y, and the cut of the key table it filled
-    (its largest key), or None where it took the doubling pass."""
+    (its largest key), or None where no node is on the grid."""
     with mock.patch.object(volterra, "_key_table", wraps=volterra._key_table) as table:
         y = forward_data_exact(op, x_fn, nodes, m=m)
     return y, table.call_args.args[-1] if table.called else None
@@ -114,12 +114,14 @@ CLOSED_FORMS = {
 @pytest.mark.parametrize("case", CLOSED_FORMS)
 @pytest.mark.parametrize("n", [25, 32, 50, 64])
 def test_forward_data_exact_against_closed_forms_on_both_paths(case, n):
-    # N = 32 and 64 take the key table at m = 4096, N = 25 and 50 the
-    # doubling pass; both stay within the dense trapezoid rule's error
+    # at m = 4096, N * m is a power of two for N = 32 and 64 (the dense
+    # points are np.linspace's) and not for N = 25 and 50; every grid
+    # node takes the key table, and all stay within the dense trapezoid
+    # rule's error
     x_fn, nu, exact = CLOSED_FORMS[case]
     op = make_op(n, nu=nu)
     y, cut = _table_cut(op, x_fn, None, 4096)
-    assert (cut is not None) == (n in (32, 64))
+    assert cut == 4096 * n // 2
     closed = exact(op.grid.nodes[1:])
     assert np.max(np.abs(y - closed)) <= 1e-7 * np.max(np.abs(closed))
 
@@ -129,17 +131,40 @@ def test_forward_data_exact_rejects_no_subintervals():
         forward_data_exact(make_op(4), x_b, m=0)
 
 
-def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096):
-    """Reference: the per-point loop that hands x_fn numpy.float64 points."""
+def _grid_index(n, t, m):
+    """Exact oracle of the grid rule: the i >= 0 whose i / n rounds to t,
+    where m * max(i, n) < 2**53; else None."""
+    i = round(Fraction(float(t)) * n)
+    if i >= 0 and float(Fraction(i, n)) == t and m * max(i, n) < 2**53:
+        return i
+    return None
+
+
+def _dense_points(n, t, m):
+    """A node's dense points: fl(k * i / (n * m)), k = 0 ... m, for a grid
+    node t = i / n, else np.linspace(0, t, m + 1)."""
+    i = _grid_index(n, t, m)
+    if i is None:
+        return _linspace_points(n, t, m)
+    return np.array([float(Fraction(k * i, n * m)) for k in range(m + 1)])
+
+
+def _linspace_points(n, t, m):
+    return np.linspace(0.0, t, m + 1)
+
+
+def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096, points=_dense_points):
+    """Reference: the per-node loop that hands x_fn numpy.float64 points,
+    on the two-rule dense points or on np.linspace's."""
     if nodes is None:
         nodes = op.grid.nodes[1:]
     out = np.zeros(len(nodes))
-    for i, t in enumerate(nodes):
-        s = np.linspace(0.0, t, m + 1)
+    for j, t in enumerate(nodes):
+        s = points(op.grid.n, t, m)
         x_s = np.asarray([x_fn(v) for v in s])
         x_rev = x_s[::-1]
         integrand = op.kernel(t - s) * x_s + op.nu * x_rev * x_s
-        out[i] = np.trapezoid(integrand, s)
+        out[j] = np.trapezoid(integrand, s)
     return out
 
 
@@ -152,62 +177,84 @@ def test_forward_data_exact_matches_loop_bit_for_bit(x_fn, m):
     )
 
 
-def _doubled_rows(nodes):
-    """Nodes that follow a node of half their value when visited by
-    binary mantissa, then exponent: equal mantissa, exponent one higher,
-    mantissa not 0."""
-    f, e = np.frexp(nodes)
-    order = np.lexsort((e, f))
-    f, e = f[order], e[order]
-    return int(np.sum((f[1:] == f[:-1]) & (e[1:] == e[:-1] + 1) & (f[1:] != 0)))
+@pytest.mark.parametrize("x_fn", [x_a, x_c])
+@pytest.mark.parametrize("n, m", [(1, 8), (8, 64), (32, 4096), (64, 4096)])
+def test_forward_data_exact_keeps_linspace_points_where_n_m_is_dyadic(x_fn, n, m):
+    # fl(k * i / (N * m)) = k * fl((i / N) / m) when N * m is a power of two
+    op = make_op(n, nu=0.3)
+    assert np.array_equal(
+        forward_data_exact(op, x_fn, m=m),
+        _forward_data_exact_loop(op, x_fn, m=m, points=_linspace_points),
+    )
 
 
-def _doubling_calls(nodes, m):
-    """x_fn calls without the key table: one per dense point, less the
-    first (m + 1) // 2 points of each node exactly twice another."""
-    return len(nodes) * (m + 1) - _doubled_rows(nodes) * ((m + 1) // 2)
+@pytest.mark.parametrize("x_fn", [x_a, x_b, x_sq])
+@pytest.mark.parametrize("n, m", [(12, 96), (25, 200), (60, 480), (25, 4096)])
+def test_forward_data_exact_near_linspace_loop_where_n_m_is_not_dyadic(x_fn, n, m):
+    # a dense point moves by at most two ulps from np.linspace's. Not for
+    # the step x_c: at N = 60, m = 480 the points k * i / (N * m) = 1/4
+    # and 3/4 are now exact, where np.linspace's lay an ulp off its jumps
+    op = make_op(n, nu=0.3)
+    y = forward_data_exact(op, x_fn, m=m)
+    old = _forward_data_exact_loop(op, x_fn, m=m, points=_linspace_points)
+    assert np.all(np.abs(y - old) <= 1e-15 * np.abs(old))
 
 
-def _key_unit(nodes, m):
-    """Exact oracle of the key table's reach: the coarsest power of two u
-    that divides every step t / m, when no step is negative or underflows
-    to 0 (t != 0) and the keys 0 ... m * max(step / u) // 2 fill at most
-    half of the dense points; else None."""
-    steps = [Fraction(float(t) / m) for t in nodes]
-    if any(s < 0 or (s == 0) != (t == 0) for s, t in zip(steps, nodes)):
-        return None
-    ratios = [s.as_integer_ratio() for s in steps if s]
-    if not ratios:
-        return None
-    unit = min(Fraction(p & -p, q) for p, q in ratios)
-    cut = m * int(max(steps) / unit) // 2
-    return unit if 2 * (cut + 1) <= len(nodes) * (m + 1) else None
+@pytest.mark.parametrize("n, m", [(12, 96), (25, 200), (60, 480)])
+def test_forward_data_exact_grid_points_reflect_exactly(n, m):
+    # x(t - s_k) is read as x(s_{m-k}): on a grid node t = i / N that
+    # point is the exact reflection i / N - k * i / (N * m) rounded once,
+    # which np.linspace's k * fl(t / m) is not on every node
+    op = make_op(n)
+    linspace_exact = True
+    for i in range(1, n + 1):
+        args = []
+        forward_data_exact(op, lambda t: args.append(t) or t, [i / n], m=m)
+        s = sorted(args)
+        assert len(s) == m + 1 and s[-1] == i / n
+        reflected = [float(Fraction(i, n) - Fraction(k * i, n * m)) for k in range(m + 1)]
+        assert s[::-1] == reflected
+        linspace_exact &= _linspace_points(n, i / n, m)[::-1].tolist() == reflected
+    assert not linspace_exact
+
+
+def test_grid_keys_guard_exact_integer_keys():
+    # N * m = 2**52: node 1 reaches the key m * i = 2**52, node 2 would
+    # reach 2**53, beyond which k * i is no longer exact, so it takes the
+    # off-grid rule, as does 0.3, which is no i / N; at N = 2**30,
+    # N * m = 2**53 and no node is on the grid. No dense point is built.
+    i, cut = volterra._grid_keys(np.array([1.0, 2.0, 0.0, 0.3]), 2**20, 2**32)
+    assert i.tolist() == [2**20, -1, 0, -1]
+    assert cut == min(2**32 * 2**20 // 2, 4 * (2**32 + 1) // 2 - 1) == 2**33 + 1
+    i, cut = volterra._grid_keys(np.array([0.5, 1.0]), 2**30, 2**23)
+    assert i.tolist() == [-1, -1] and cut == -1
 
 
 def _expected_calls(op, nodes, m):
-    """On the key table, one call per distinct key at or below the cut,
-    plus each node's points above it and each last point t other than
-    m * step; else the doubling rule."""
+    """x_fn calls of forward_data_exact: one per distinct key k * i at or
+    below the cut, one per grid-node point above it and one per point of
+    an off-grid node; the cut is half the largest key m * max(i), but
+    the table holds at most half of the dense points."""
     if nodes is None:
         nodes = op.grid.nodes[1:]
-    unit = _key_unit(nodes, m)
-    if unit is None:
-        return _doubling_calls(nodes, m)
-    n = [int(Fraction(float(t) / m) / unit) for t in nodes]
-    cut = m * max(n) // 2
-    keys, calls = set(), 0
-    for t, nj in zip(nodes, n):
-        on_grid = m * (float(t) / m) == t
-        node_keys = np.arange(m + on_grid) * nj
+    index = [_grid_index(op.grid.n, t, m) for t in nodes]
+    grid = [i for i in index if i is not None]
+    calls = (len(nodes) - len(grid)) * (m + 1)
+    if not grid:
+        return calls
+    cut = min(m * max(grid) // 2, len(nodes) * (m + 1) // 2 - 1)
+    keys = set()
+    for i in grid:
+        node_keys = np.arange(m + 1) * i
         keys.update(node_keys[node_keys <= cut].tolist())
-        calls += int(np.sum(node_keys > cut)) + (not on_grid)
+        calls += int(np.sum(node_keys > cut))
     return len(keys) + calls
 
 
 def _check_calls(op, x_fn, nodes, m):
-    """forward_data_exact equals the loop oracle bit for bit, makes the
-    expected calls, never more than the doubling rule, and keeps its key
-    table within half of the dense points."""
+    """forward_data_exact equals the loop oracle bit for bit, calls x_fn
+    with Python floats as often as expected, and keeps its key table
+    within half of the dense points; returns the call count."""
     args = []
 
     def counted(t):
@@ -216,13 +263,11 @@ def _check_calls(op, x_fn, nodes, m):
 
     y, cut = _table_cut(op, counted, nodes, m)
     assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, nodes, m=m))
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
     assert len(args) == _expected_calls(op, nodes, m)
-    assert len(args) <= _doubling_calls(nodes, m)
-    assert (cut is None) == (_key_unit(nodes, m) is None)
+    assert all(type(t) is float for t in args)
     if cut is not None:
-        assert 2 * (cut + 1) <= len(nodes) * (m + 1)
+        assert 2 * (cut + 1) <= len(y) * (m + 1)
+    return len(args)
 
 
 @st.composite
@@ -244,15 +289,14 @@ def branchy_callables(draw):
 @st.composite
 def piecewise_linear_cases(draw):
     """Operator, scalar piecewise-linear callable with if branches, m and
-    measurement nodes: None for the grid nodes, else off-grid nodes with
-    doubling chains t, 2t, 4t, duplicates and 0.0, in any order."""
-    n = draw(st.integers(4, 8))
+    measurement nodes: None for the grid nodes, else grid nodes i / N
+    mixed with other nodes, duplicates and 0.0, in any order."""
+    n = draw(st.integers(1, 12))
     op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
     x_fn = draw(branchy_callables())
     m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 8 * n + 1, 4096]))
-    nodes = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
-    chains = draw(st.lists(st.floats(1e-3, 0.25), max_size=3))
-    nodes += [t * 2**j for t in chains for j in range(3)]
+    nodes = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5))
+    nodes += [i / n for i in draw(st.lists(st.integers(1, n), max_size=5))]
     nodes += draw(st.lists(st.sampled_from(nodes), max_size=3))
     nodes += [0.0] * draw(st.integers(0, 2))
     nodes = draw(st.none() | st.permutations(nodes).map(np.asarray))
@@ -266,11 +310,22 @@ def test_forward_data_exact_matches_loop_for_branchy_callables(case):
     _check_calls(op, x_fn, nodes, m)
 
 
+@settings(max_examples=40)
+@given(piecewise_linear_cases())
+def test_forward_data_exact_node_value_ignores_other_nodes(case):
+    op, x_fn, m, nodes = case
+    if nodes is None:
+        nodes = op.grid.nodes[1:]
+    alone = [forward_data_exact(op, x_fn, nodes[j : j + 1], m=m) for j in range(len(nodes))]
+    assert np.array_equal(forward_data_exact(op, x_fn, nodes, m=m), np.concatenate(alone))
+
+
 @st.composite
 def dyadic_cases(draw):
     """Operator, branchy callable, m and nodes i / N, N = 2**p: the grid
-    nodes less a few, with duplicates and 0.0, in any order. With m a
-    power of two most take the key table; m = 3 or 7 cannot."""
+    nodes less a few, with duplicates and 0.0, in any order. Every node
+    takes the key table; with m a power of two too the dense points are
+    np.linspace's."""
     n = 2 ** draw(st.integers(0, 5))
     op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
     x_fn = draw(branchy_callables())
@@ -291,27 +346,21 @@ def test_forward_data_exact_key_table_on_dyadic_nodes(case):
 
 @pytest.mark.parametrize("zero_node", [False, True])
 def test_forward_data_exact_matches_loop_across_blocks(zero_node):
-    # at m = 320 a block holds 25 of the 40 grid nodes, and the chain
-    # 1/40, 2/40, ..., 32/40 crosses from the first block into the second;
-    # a 0.0 node is visited first, inside the first block
+    # at m = 320 a block holds 25 of the 40 grid nodes, so the rows that
+    # read the key table fall in two blocks; a 0.0 node comes first
     op = make_op(40, nu=0.3)
     nodes = op.grid.nodes[int(not zero_node) :]
     m = 320
     assert volterra._BLOCK_POINTS // (m + 1) == 25
-    f, e = np.frexp(nodes)
-    t = nodes[np.lexsort((e, f))]
-    assert t[25 + zero_node] == 2 * t[24 + zero_node]
-    assert np.array_equal(
-        forward_data_exact(op, x_b, nodes, m=m),
-        _forward_data_exact_loop(op, x_b, nodes, m=m),
-    )
+    _check_calls(op, x_b, nodes, m)
 
 
 @pytest.mark.parametrize("m", [3, 5, 96])
 def test_forward_data_exact_matches_loop_where_steps_underflow(m):
-    # t/m rounds to 0 or to a subnormal step: np.linspace then takes
-    # (k/m)*t, and fl(2t/m) can differ from 2 fl(t/m); x counts the
-    # smallest subnormals in t, so a misplaced dense point shows in y
+    # subnormal nodes are off the grid, so they take np.linspace's rule:
+    # t/m rounds to 0 or to a subnormal step, where np.linspace takes
+    # (k/m)*t; x counts the smallest subnormals in t, so a misplaced
+    # dense point shows in y
     op = make_op(8, nu=0.3)
     nodes = np.array([3.0, 6.0, 12.0, 1.0, 2.0, 2.0**60]) * 2.0**-1074
 
@@ -327,28 +376,21 @@ def test_forward_data_exact_matches_loop_where_steps_underflow(m):
 @pytest.mark.parametrize(
     "n, nodes, m, calls",
     [
-        (12, None, 96, 876),
+        (12, None, 96, 601),
         (12, np.array([0.13, 0.5, 0.91]), 96, 291),
         (64, None, 4096, 118_424),
     ],
     ids=["None", "nodes1", "N64-m4096"],
 )
 def test_forward_data_exact_calls_x_with_python_floats(n, nodes, m, calls):
-    # N * m = 1152 and the nodes 0.13 ... are no power-of-two multiples:
-    # one call per dense point, less the first (m + 1) // 2 points of each
-    # node exactly twice another, every even grid node i/N. At N = 64,
-    # m = 4096 the key table serves every point up to t = 1/2 once.
+    # N = 12, m = 96: the table holds the keys up to 576 (t = 1/2) that
+    # some node reads, once each. 0.13 and 0.91 are off the grid and
+    # called at every point; 0.5 = 6/12 reads its keys up to the cut 144
+    # (a table of at most half the 291 dense points) and is called above
+    # it. At N = 64,
+    # m = 4096 the table serves every point up to t = 1/2 once.
     op = make_op(n, nu=0.2)
-    args = []
-
-    def x_fn(t):
-        args.append(t)
-        return x_b(t)
-
-    forward_data_exact(op, x_fn, nodes, m=m)
-    assert len(args) == calls
-    assert calls == _expected_calls(op, nodes, m)
-    assert all(type(t) is float for t in args)
+    assert _check_calls(op, x_b, nodes, m) == calls
 
 
 def _subnormal_count(t):
@@ -358,15 +400,14 @@ def _subnormal_count(t):
 @pytest.mark.parametrize(
     "nodes, m, keyed",
     [
-        # 5 * 2**-1074 / 4 rounds to the step 2**-1074, 4 steps short of
-        # the node: its last point is no key and is called; 2**-1071 has
-        # step 2 * 2**-1074, and the cut is key 4
-        ([5 * 2.0**-1074, 2.0**-1071], 4, True),
-        # the unit cannot go below 2**-1074, so the cut m // 2 lies below
-        # a 0.0 node's last point, yet all its points are key 0
+        # subnormal nodes are no i / 4: np.linspace's points, one call
+        # each, and a last point t that is not m * fl(t / m)
+        ([5 * 2.0**-1074, 2.0**-1071], 4, False),
+        # a 0.0 node is the grid node i = 0: every point is key 0, the
+        # one key of the table, beside off-grid subnormal nodes
         ([4 * 2.0**-1074, 0.0, 4 * 2.0**-1074], 4, True),
         # 2**-1074 / 4 underflows to 0 beside the steps 2**-1073 and
-        # 2**-1072: np.linspace's rule, on the doubling pass
+        # 2**-1072: np.linspace's (k / m) * t
         ([2.0**-1074, 2.0**-1071, 2.0**-1070], 4, False),
     ],
     ids=["off-grid-last", "zero-node", "underflow"],
