@@ -23,14 +23,6 @@ class CubicBSplineBasis:
     def size(self) -> int:
         return self.grid.n
 
-    def eval_spline(self, j: int, t):
-        """Value of S_j at t (scalar or array)."""
-        n = self.grid.n
-        if not 0 <= j <= n - 1:
-            raise IndexError(f"spline index {j} out of range [0, {n - 1}]")
-        val = _scaled_bspline(np.asarray(t, dtype=float) - j * self.grid.h, self.grid.h)
-        return val if val.ndim else float(val)
-
     def values(self, t) -> np.ndarray:
         """Matrix S[j, k] = S_j(t_k) for the points of a 1-D array t,
         shape (N, len(t))."""

@@ -55,7 +55,7 @@ HONOURED = {"fig2": PARAMETERS}
 # How the manifest writes the float parameters; n and seed are integers.
 _FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 6-7 s and 155 MB; a much
+# (N = 25..400). fig2 at N = 1000 runs in 4-5 s and 168 MB; a much
 # larger N would only fail to allocate its grid.
 N_MAX = 1000
 

@@ -87,27 +87,9 @@ def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
 _BLOCK_POINTS = 2**13
 
 
-def _grid_keys(nodes: np.ndarray, n: int, m: int):
-    """Grid index i of each node, -1 off the grid, and the key table's
-    cut, -1 where no node is on the grid.
-
-    A node t is a grid node when i = rint(t * n) >= 0, i / n == t bit for
-    bit and m * max(i, n) < 2**53: its dense points k * i / (n * m) are
-    then quotients of exact integers, the keys j = k * i over n * m. The
-    table holds the keys 0 ... cut, cut = m * max(i) // 2 (half the
-    largest grid node), but at most half of the call's dense points.
-    """
-    i = np.rint(nodes * n)
-    on_grid = (i >= 0) & (i / n == nodes) & (np.maximum(i, n) * m < 2.0**53)
-    i = np.where(on_grid, i, -1).astype(np.int64)
-    if not on_grid.any():
-        return i, -1
-    return i, min(m * int(i.max()) // 2, len(nodes) * (m + 1) // 2 - 1)
-
-
 def _key_table(x_fn, nm: float, reads: set, cut: int) -> np.ndarray:
-    """x_fn at key / nm for every key <= cut that some grid node reads,
-    a node reading keys[:stop:stride]; each such key is evaluated once."""
+    """x_fn at key / nm for every key <= cut that some node reads, a node
+    reading keys[:stop:stride]; each such key is evaluated once."""
     used = np.zeros(cut + 1, dtype=bool)
     for stop, stride in reads:
         used[:stop:stride] = True
@@ -116,17 +98,6 @@ def _key_table(x_fn, nm: float, reads: set, cut: int) -> np.ndarray:
         keys = start + np.flatnonzero(used[start : start + _BLOCK_POINTS])
         table[keys] = np.fromiter(map(x_fn, (keys / nm).tolist()), float, len(keys))
     return table
-
-
-def _linspace_rows(t: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
-    """Rows np.linspace(0, t, m + 1), bit for bit: k * fl(t / m), the
-    last point t ((k / m) * t where t / m underflows to 0)."""
-    step = t / m
-    s = k * step[:, None]
-    under = step == 0
-    s[under] = (k / m) * t[under, None]
-    s[:, -1] = t
-    return s
 
 
 def forward_data_exact(
@@ -143,20 +114,21 @@ def forward_data_exact(
     reconstruction errors reflect the approximation properties of the
     method rather than data/assembly consistency.
 
-    Each node takes its dense points s_0 = 0 ... s_m = t by its own rule:
-    - a grid node t = i / N of the operator's grid (N = op.grid.n, see
-      _grid_keys) takes s_k = fl(k * i / (N * m)), one correctly rounded
-      division of exact integers, so s_{m-k} is the rounded reflection
-      of the exact point; where N * m is a power of two this is
-      np.linspace(0, t, m + 1) bit for bit;
-    - any other node takes np.linspace(0, t, m + 1) (_linspace_rows).
+    Every node must be a node t = i / N of the operator's grid (N =
+    op.grid.n, 0 <= i <= N, i / N == t bit for bit), and N * m < 2**53;
+    anything else is a ValueError, raised before x_fn is called. Node t
+    takes the dense points s_k = fl(k * i / (N * m)), k = 0 ... m, one
+    correctly rounded division of the exact integers k * i (the keys)
+    and N * m, so s_{m-k} is the rounded reflection of the exact point;
+    where N * m is a power of two they are np.linspace(0, t, m + 1) bit
+    for bit.
 
     x_fn is a pure scalar callable float -> float. It is called with
     Python floats, which round exactly as numpy.float64 does and are
     several times cheaper in scalar code, in unspecified order: once per
-    distinct key j = k * i <= cut of the grid nodes, through a table of
-    at most half the call's dense points, and once per dense point above
-    the cut or of an off-grid node.
+    distinct key up to the cut, through a key table, and once per dense
+    point above it. The cut is m * max(i) // 2 (half the largest node),
+    but the table holds at most half of the call's dense points.
 
     Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
     node when m + 1 exceeds it); each block makes one kernel
@@ -168,33 +140,36 @@ def forward_data_exact(
         nodes = op.grid.nodes[1:]
     nodes = np.asarray(nodes, dtype=float)
     n = op.grid.n
-    i_all, cut = _grid_keys(nodes, n, m)
+    if n * m >= 2**53:
+        raise ValueError(f"need N * m < 2**53 for exact keys, got N={n}, m={m}")
+    # NaN fails the range test, so no NaN reaches the integer cast
+    in_range = (nodes >= 0.0) & (nodes <= 1.0)
+    i_all = np.rint(np.where(in_range, nodes, 0.0) * n)
+    off = ~(in_range & (i_all / n == nodes))
+    if off.any():
+        raise ValueError(f"nodes must be grid nodes i/{n}, 0 <= i <= {n}: {nodes[off]}")
+    i_all = i_all.astype(np.int64)
+    cut = min(m * int(i_all.max(initial=0)) // 2, len(nodes) * (m + 1) // 2 - 1)
     nm = float(n * m)
-    # a grid node reads its first lo points from table[:stop:i] (every
-    # point of a node at 0 is key 0) and calls x_fn at the rest
+    # node i reads its first lo points from table[:stop:i] (every point
+    # of a node at 0 is key 0) and calls x_fn at the rest
     stride_all = np.maximum(i_all, 1)
-    reach = np.where(i_all > 0, cut // stride_all, m)
-    lo_all = np.where(i_all >= 0, np.minimum(reach, m) + 1, 0)
+    lo_all = np.where(i_all > 0, np.minimum(cut // stride_all, m), m) + 1
     stop_all = (lo_all - 1) * i_all + 1
     lo_all, stop_all, stride_all = lo_all.tolist(), stop_all.tolist(), stride_all.tolist()
-    reads = {(stop, stride) for lo, stop, stride in zip(lo_all, stop_all, stride_all) if lo}
-    table = _key_table(x_fn, nm, reads, cut) if reads else None
+    table = _key_table(x_fn, nm, set(zip(stop_all, stride_all)), cut)
     out = np.zeros(len(nodes))
     k = np.arange(m + 1.0)
     rows = max(1, _BLOCK_POINTS // (m + 1))
     for start in range(0, len(nodes), rows):
         block = slice(start, start + rows)
-        t, i = nodes[block], i_all[block]
-        s = i[:, None] * k / nm
-        off = i < 0
-        if off.any():
-            s[off] = _linspace_rows(t[off], k, m)
+        t = nodes[block]
+        s = i_all[block, None] * k / nm
         x = np.empty_like(s)
         for j, (lo, stop, stride) in enumerate(
             zip(lo_all[block], stop_all[block], stride_all[block])
         ):
-            if lo:
-                x[j, :lo] = table[:stop:stride]
+            x[j, :lo] = table[:stop:stride]
             x[j, lo:] = np.fromiter(map(x_fn, s[j, lo:].tolist()), float, m + 1 - lo)
         x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
         integrand = op.kernel(t[:, None] - s) * x + op.nu * x_rev * x

@@ -29,7 +29,10 @@ PUBLIC_NAMES = {
         "error_budget", "iterative_refinement", "reconstruct_profile",
         "reconstruct_value", "solve_weights",
     ],
-    "volterra": ["DiscreteForwardMap", "QuadraticVolterraOperator", "forward_data"],
+    "volterra": [
+        "DiscreteForwardMap", "QuadraticVolterraOperator", "forward_data",
+        "forward_data_exact", "linearization_matrix",
+    ],
 }
 
 

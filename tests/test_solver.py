@@ -40,7 +40,7 @@ def test_toy_matrix_entries_match_brute_force_quadrature():
     system = assemble_adjoint_system(op, basis, x0, np.zeros(2), fmap)
     s = grid.nodes
     for j in range(2):
-        spline = SampledFunction(grid, basis.eval_spline(j, s))
+        spline = SampledFunction(grid, basis.values(s)[j])
         for i, ti in enumerate(fmap.nodes):
             integrand = SampledFunction(grid, op.kernel(ti - s) * spline.values)
             direct = quad_weighted_integral(integrand, 0.0, ti)

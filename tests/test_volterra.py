@@ -90,10 +90,10 @@ def test_forward_data_exact_against_closed_form():
 
 def _table_cut(op, x_fn, nodes, m):
     """forward_data_exact's y, and the cut of the key table it filled
-    (its largest key), or None where no node is on the grid."""
+    (its largest key)."""
     with mock.patch.object(volterra, "_key_table", wraps=volterra._key_table) as table:
         y = forward_data_exact(op, x_fn, nodes, m=m)
-    return y, table.call_args.args[-1] if table.called else None
+    return y, table.call_args.args[-1]
 
 
 def _ramp(t):
@@ -131,21 +131,36 @@ def test_forward_data_exact_rejects_no_subintervals():
         forward_data_exact(make_op(4), x_b, m=0)
 
 
-def _grid_index(n, t, m):
-    """Exact oracle of the grid rule: the i >= 0 whose i / n rounds to t,
-    where m * max(i, n) < 2**53; else None."""
+@pytest.mark.parametrize(
+    "node, m",
+    [(0.3, 64), (1.25, 64), (-1 / 8, 64), (np.nan, 64), (np.inf, 64), (1.0, 2**50)],
+    ids=["off-grid", "above-one", "below-zero", "nan", "inf", "n-m-2**53"],
+)
+def test_forward_data_exact_rejects_nodes_it_cannot_integrate(node, m):
+    # only the nodes i / 8, 0 <= i <= 8, are integrated exactly: a node
+    # beyond 1 would read the kernel clamped at 1 (t = 1.25 gives 0.74997
+    # for x = 1, not 0.78125), and at N * m = 2**53 the keys k * i are no
+    # longer exact. A NaN must not reach an integer cast, whose warning
+    # the suite raises as an error
+    op = make_op(8)
+    calls = []
+    with pytest.raises(ValueError):
+        forward_data_exact(op, lambda t: calls.append(t) or 1.0, [0.5, node], m=m)
+    assert calls == []
+
+
+def _grid_index(n, t):
+    """Exact oracle of the grid index: the i, 0 <= i <= n, with
+    i / n == t."""
     i = round(Fraction(float(t)) * n)
-    if i >= 0 and float(Fraction(i, n)) == t and m * max(i, n) < 2**53:
-        return i
-    return None
+    assert 0 <= i <= n and float(Fraction(i, n)) == t
+    return i
 
 
 def _dense_points(n, t, m):
-    """A node's dense points: fl(k * i / (n * m)), k = 0 ... m, for a grid
-    node t = i / n, else np.linspace(0, t, m + 1)."""
-    i = _grid_index(n, t, m)
-    if i is None:
-        return _linspace_points(n, t, m)
+    """A grid node t = i / n's dense points fl(k * i / (n * m)),
+    k = 0 ... m."""
+    i = _grid_index(n, t)
     return np.array([float(Fraction(k * i, n * m)) for k in range(m + 1)])
 
 
@@ -155,7 +170,7 @@ def _linspace_points(n, t, m):
 
 def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096, points=_dense_points):
     """Reference: the per-node loop that hands x_fn numpy.float64 points,
-    on the two-rule dense points or on np.linspace's."""
+    on the grid rule's dense points or on np.linspace's."""
     if nodes is None:
         nodes = op.grid.nodes[1:]
     out = np.zeros(len(nodes))
@@ -218,33 +233,18 @@ def test_forward_data_exact_grid_points_reflect_exactly(n, m):
     assert not linspace_exact
 
 
-def test_grid_keys_guard_exact_integer_keys():
-    # N * m = 2**52: node 1 reaches the key m * i = 2**52, node 2 would
-    # reach 2**53, beyond which k * i is no longer exact, so it takes the
-    # off-grid rule, as does 0.3, which is no i / N; at N = 2**30,
-    # N * m = 2**53 and no node is on the grid. No dense point is built.
-    i, cut = volterra._grid_keys(np.array([1.0, 2.0, 0.0, 0.3]), 2**20, 2**32)
-    assert i.tolist() == [2**20, -1, 0, -1]
-    assert cut == min(2**32 * 2**20 // 2, 4 * (2**32 + 1) // 2 - 1) == 2**33 + 1
-    i, cut = volterra._grid_keys(np.array([0.5, 1.0]), 2**30, 2**23)
-    assert i.tolist() == [-1, -1] and cut == -1
-
-
 def _expected_calls(op, nodes, m):
     """x_fn calls of forward_data_exact: one per distinct key k * i at or
-    below the cut, one per grid-node point above it and one per point of
-    an off-grid node; the cut is half the largest key m * max(i), but
-    the table holds at most half of the dense points."""
+    below the cut and one per point above it; the cut is half the
+    largest key m * max(i), but the table holds at most half of the
+    dense points."""
     if nodes is None:
         nodes = op.grid.nodes[1:]
-    index = [_grid_index(op.grid.n, t, m) for t in nodes]
-    grid = [i for i in index if i is not None]
-    calls = (len(nodes) - len(grid)) * (m + 1)
-    if not grid:
-        return calls
-    cut = min(m * max(grid) // 2, len(nodes) * (m + 1) // 2 - 1)
+    index = [_grid_index(op.grid.n, t) for t in nodes]
+    cut = min(m * max(index) // 2, len(nodes) * (m + 1) // 2 - 1)
     keys = set()
-    for i in grid:
+    calls = 0
+    for i in index:
         node_keys = np.arange(m + 1) * i
         keys.update(node_keys[node_keys <= cut].tolist())
         calls += int(np.sum(node_keys > cut))
@@ -265,8 +265,7 @@ def _check_calls(op, x_fn, nodes, m):
     assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, nodes, m=m))
     assert len(args) == _expected_calls(op, nodes, m)
     assert all(type(t) is float for t in args)
-    if cut is not None:
-        assert 2 * (cut + 1) <= len(y) * (m + 1)
+    assert 2 * (cut + 1) <= len(y) * (m + 1)
     return len(args)
 
 
@@ -286,32 +285,35 @@ def branchy_callables(draw):
     return x_fn
 
 
+DYADIC_N = [2**p for p in range(6)]
+
+
 @st.composite
-def piecewise_linear_cases(draw):
-    """Operator, scalar piecewise-linear callable with if branches, m and
-    measurement nodes: None for the grid nodes, else grid nodes i / N
-    mixed with other nodes, duplicates and 0.0, in any order."""
-    n = draw(st.integers(1, 12))
+def grid_node_cases(draw, sizes=st.integers(1, 12) | st.sampled_from(DYADIC_N)):
+    """Operator, branchy callable, m and measurement nodes: None for the
+    grid nodes t_1 ... t_N, else grid nodes i / N with some dropped, with
+    duplicates and 0.0, in any order."""
+    n = draw(sizes)
     op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
     x_fn = draw(branchy_callables())
     m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 8 * n + 1, 4096]))
-    nodes = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5))
-    nodes += [i / n for i in draw(st.lists(st.integers(1, n), max_size=5))]
-    nodes += draw(st.lists(st.sampled_from(nodes), max_size=3))
-    nodes += [0.0] * draw(st.integers(0, 2))
+    dropped = draw(st.sets(st.integers(1, n), max_size=n - 1))
+    i = [j for j in range(1, n + 1) if j not in dropped]
+    i += draw(st.lists(st.integers(1, n), max_size=4))
+    nodes = [j / n for j in i] + [0.0] * draw(st.integers(0, 2))
     nodes = draw(st.none() | st.permutations(nodes).map(np.asarray))
     return op, x_fn, m, nodes
 
 
 @settings(max_examples=40)
-@given(piecewise_linear_cases())
+@given(grid_node_cases())
 def test_forward_data_exact_matches_loop_for_branchy_callables(case):
     op, x_fn, m, nodes = case
     _check_calls(op, x_fn, nodes, m)
 
 
 @settings(max_examples=40)
-@given(piecewise_linear_cases())
+@given(grid_node_cases())
 def test_forward_data_exact_node_value_ignores_other_nodes(case):
     op, x_fn, m, nodes = case
     if nodes is None:
@@ -320,28 +322,18 @@ def test_forward_data_exact_node_value_ignores_other_nodes(case):
     assert np.array_equal(forward_data_exact(op, x_fn, nodes, m=m), np.concatenate(alone))
 
 
-@st.composite
-def dyadic_cases(draw):
-    """Operator, branchy callable, m and nodes i / N, N = 2**p: the grid
-    nodes less a few, with duplicates and 0.0, in any order. Every node
-    takes the key table; with m a power of two too the dense points are
-    np.linspace's."""
-    n = 2 ** draw(st.integers(0, 5))
-    op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
-    x_fn = draw(branchy_callables())
-    m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 4096]))
-    dropped = draw(st.sets(st.integers(1, n), max_size=n // 4))
-    i = [j for j in range(1, n + 1) if j not in dropped]
-    i += draw(st.lists(st.integers(1, n), max_size=4))
-    nodes = [j / n for j in i] + [0.0] * draw(st.integers(0, 2))
-    return op, x_fn, m, draw(st.permutations(nodes).map(np.asarray))
-
-
 @settings(max_examples=40)
-@given(dyadic_cases())
+@given(grid_node_cases(st.sampled_from(DYADIC_N)))
 def test_forward_data_exact_key_table_on_dyadic_nodes(case):
+    # with N = 2**p, and m a power of two too, the dense points are
+    # np.linspace's
     op, x_fn, m, nodes = case
     _check_calls(op, x_fn, nodes, m)
+    if m & (m - 1) == 0:
+        assert np.array_equal(
+            forward_data_exact(op, x_fn, nodes, m=m),
+            _forward_data_exact_loop(op, x_fn, nodes, m=m, points=_linspace_points),
+        )
 
 
 @pytest.mark.parametrize("zero_node", [False, True])
@@ -355,69 +347,36 @@ def test_forward_data_exact_matches_loop_across_blocks(zero_node):
     _check_calls(op, x_b, nodes, m)
 
 
-@pytest.mark.parametrize("m", [3, 5, 96])
-def test_forward_data_exact_matches_loop_where_steps_underflow(m):
-    # subnormal nodes are off the grid, so they take np.linspace's rule:
-    # t/m rounds to 0 or to a subnormal step, where np.linspace takes
-    # (k/m)*t; x counts the smallest subnormals in t, so a misplaced
-    # dense point shows in y
-    op = make_op(8, nu=0.3)
-    nodes = np.array([3.0, 6.0, 12.0, 1.0, 2.0, 2.0**60]) * 2.0**-1074
-
-    def x_fn(t):
-        return t * 2.0**537 * 2.0**537
-
-    assert np.array_equal(
-        forward_data_exact(op, x_fn, nodes, m=m),
-        _forward_data_exact_loop(op, x_fn, nodes, m=m),
-    )
-
-
 @pytest.mark.parametrize(
-    "n, nodes, m, calls",
-    [
-        (12, None, 96, 601),
-        (12, np.array([0.13, 0.5, 0.91]), 96, 291),
-        (64, None, 4096, 118_424),
-    ],
-    ids=["None", "nodes1", "N64-m4096"],
+    "n, m, calls", [(12, 96, 601), (64, 4096, 118_424)], ids=["None", "N64-m4096"]
 )
-def test_forward_data_exact_calls_x_with_python_floats(n, nodes, m, calls):
+def test_forward_data_exact_calls_x_with_python_floats(n, m, calls):
     # N = 12, m = 96: the table holds the keys up to 576 (t = 1/2) that
-    # some node reads, once each. 0.13 and 0.91 are off the grid and
-    # called at every point; 0.5 = 6/12 reads its keys up to the cut 144
-    # (a table of at most half the 291 dense points) and is called above
-    # it. At N = 64,
-    # m = 4096 the table serves every point up to t = 1/2 once.
+    # some node reads, once each. At N = 64, m = 4096 the table serves
+    # every point up to t = 1/2 once.
     op = make_op(n, nu=0.2)
-    assert _check_calls(op, x_b, nodes, m) == calls
-
-
-def _subnormal_count(t):
-    return t * 2.0**537 * 2.0**537
+    assert _check_calls(op, x_b, None, m) == calls
 
 
 @pytest.mark.parametrize(
-    "nodes, m, keyed",
+    "nodes, m, cut",
     [
-        # subnormal nodes are no i / 4: np.linspace's points, one call
-        # each, and a last point t that is not m * fl(t / m)
-        ([5 * 2.0**-1074, 2.0**-1071], 4, False),
-        # a 0.0 node is the grid node i = 0: every point is key 0, the
-        # one key of the table, beside off-grid subnormal nodes
-        ([4 * 2.0**-1074, 0.0, 4 * 2.0**-1074], 4, True),
-        # 2**-1074 / 4 underflows to 0 beside the steps 2**-1073 and
-        # 2**-1072: np.linspace's (k / m) * t
-        ([2.0**-1074, 2.0**-1071, 2.0**-1070], 4, False),
+        # a 0.0 node is the grid node i = 0: every point is key 0, read
+        # from the table beside the keys of 1/4 up to the cut
+        ([0.0, 0.25, 0.0], 4, 2),
+        # 0.0 alone: the table is key 0, and x is called once
+        ([0.0], 4, 0),
+        # one subinterval: the table of at most half the 2 dense points
+        # is key 0, and the last point is called
+        ([1.0], 1, 0),
     ],
-    ids=["off-grid-last", "zero-node", "underflow"],
+    ids=["zero-node", "zero-only", "one-subinterval"],
 )
-def test_forward_data_exact_key_table_edges(nodes, m, keyed):
-    # x counts the smallest subnormals, so a misplaced point shows in y
+def test_forward_data_exact_key_table_edges(nodes, m, cut):
     op = make_op(4, nu=0.3)
     nodes = np.asarray(nodes)
-    _check_calls(op, _subnormal_count, nodes, m)
-    assert (_table_cut(op, _subnormal_count, nodes, m)[1] is not None) == keyed
+    _check_calls(op, x_b, nodes, m)
+    assert _table_cut(op, x_b, nodes, m)[1] == cut
 
 
 def test_linearization_uses_doubled_quadratic_term():
