@@ -55,7 +55,7 @@ HONOURED = {"fig2": PARAMETERS}
 # How the manifest writes the float parameters; n and seed are integers.
 _FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 4-5 s and 168 MB; a much
+# (N = 25..400). fig2 at N = 1000 runs in 3.6-3.8 s and 168 MB; a much
 # larger N would only fail to allocate its grid.
 N_MAX = 1000
 
@@ -131,7 +131,7 @@ def _error_at_half(n, fn):
     # refined by a fixed factor relative to the reconstruction grid, so
     # the whole pipeline is resolved at scale 1/n.
     grid, basis, op, fmap = _moment_setup(n, 0.0)
-    y = forward_data_exact(op, fn, fmap.nodes, m=8 * n)
+    y = forward_data_exact(op, fn, m=8 * n)
     pairs = reconstruct_profile(op, basis, op.kernel, y, [0.5], fmap)
     return abs(pairs[0][1] - fn(0.5))
 
@@ -160,7 +160,7 @@ def _plot_reconstructions(out: str, plots) -> list[str]:
         series = []
         for legend, csv, fn, n, nu, *noise in curves:
             grid, basis, op, fmap = _moment_setup(n, nu)
-            y = forward_data_exact(op, fn, fmap.nodes)
+            y = forward_data_exact(op, fn)
             if noise and noise[0] > 0:
                 eps, seed = noise
                 y = y + y * eps * noise_direction(y.shape, seed)

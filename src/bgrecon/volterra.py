@@ -48,17 +48,12 @@ class DiscreteForwardMap:
         return self.nodes[:, None] - self.op.grid.nodes[None, :]
 
 
-def _trapezoid_weights(lags: np.ndarray, h: float) -> np.ndarray:
-    """Weights W[i, k] of grid node s_k in the rule quad_weighted_integral
-    applies over [0, t_i]: trapezoid on the grid cells, the last cell cut
-    at t_i with its endpoint value interpolated. The rule integrates the
-    piecewise-linear interpolant exactly, so W[i, k] is the integral over
-    [0, t_i] of the hat function at s_k, which is h * G((t_i - s_k) / h)
-    with G the integral of the unit hat, less the half of the first hat
-    that lies left of s_0 = 0."""
-    v = np.clip(lags / h, -1.0, 1.0)
-    w = h * np.where(v <= 0.0, 0.5 * (1.0 + v) ** 2, 1.0 - 0.5 * (1.0 - v) ** 2)
-    w[:, 0] -= 0.5 * h
+def _trapezoid_weights(n: int) -> np.ndarray:
+    """Weights W[i - 1, k] of grid node s_k in the trapezoid rule on the
+    grid cells of [0, t_i], t_i = i / N, i = 1 ... N: h inside, h / 2 at
+    both ends and 0 beyond t_i."""
+    w = (np.tri(n, n + 1, 1) - 0.5 * np.eye(n, n + 1, 1)) / n
+    w[:, 0] *= 0.5
     return w
 
 
@@ -67,8 +62,7 @@ def _weighted_kernel(
 ) -> np.ndarray:
     """Matrix W * (k(t_i - s) + coef * x(t_i - s)) over nodes x grid."""
     lags = fmap.lags
-    weights = _trapezoid_weights(lags, fmap.op.grid.h)
-    return weights * (fmap.op.kernel(lags) + coef * x(lags))
+    return _trapezoid_weights(fmap.op.grid.n) * (fmap.op.kernel(lags) + coef * x(lags))
 
 
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
@@ -114,21 +108,21 @@ def forward_data_exact(
     reconstruction errors reflect the approximation properties of the
     method rather than data/assembly consistency.
 
-    Every node must be a node t = i / N of the operator's grid (N =
-    op.grid.n, 0 <= i <= N, i / N == t bit for bit), and N * m < 2**53;
-    anything else is a ValueError, raised before x_fn is called. Node t
-    takes the dense points s_k = fl(k * i / (N * m)), k = 0 ... m, one
-    correctly rounded division of the exact integers k * i (the keys)
-    and N * m, so s_{m-k} is the rounded reflection of the exact point;
-    where N * m is a power of two they are np.linspace(0, t, m + 1) bit
-    for bit.
+    The nodes are the measurement nodes t_i = i / N, i = 1 ... N, of the
+    operator's grid (N = op.grid.n): nodes is None or equal to them, and
+    N * m < 2**53. Any other input is a ValueError, raised before x_fn is
+    called. Node t_i takes the dense points s_k = fl(k * i / (N * m)),
+    k = 0 ... m, one correctly rounded division of the exact integers
+    k * i (the keys) and N * m, so s_{m-k} is the rounded reflection of
+    the exact point; where N * m is a power of two they are
+    np.linspace(0, t_i, m + 1) bit for bit.
 
     x_fn is a pure scalar callable float -> float. It is called with
     Python floats, which round exactly as numpy.float64 does and are
     several times cheaper in scalar code, in unspecified order: once per
-    distinct key up to the cut, through a key table, and once per dense
-    point above it. The cut is m * max(i) // 2 (half the largest node),
-    but the table holds at most half of the call's dense points.
+    distinct key up to the cut m * N / 2 (t = 1/2), through a key table,
+    and once per dense point above it. At N = 1 the table holds at most
+    half of the m + 1 dense points.
 
     Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
     node when m + 1 exceeds it); each block makes one kernel
@@ -136,34 +130,29 @@ def forward_data_exact(
     """
     if m < 1:
         raise ValueError(f"need at least one dense subinterval, got m={m}")
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
-    nodes = np.asarray(nodes, dtype=float)
     n = op.grid.n
     if n * m >= 2**53:
         raise ValueError(f"need N * m < 2**53 for exact keys, got N={n}, m={m}")
-    # NaN fails the range test, so no NaN reaches the integer cast
-    in_range = (nodes >= 0.0) & (nodes <= 1.0)
-    i_all = np.rint(np.where(in_range, nodes, 0.0) * n)
-    off = ~(in_range & (i_all / n == nodes))
-    if off.any():
-        raise ValueError(f"nodes must be grid nodes i/{n}, 0 <= i <= {n}: {nodes[off]}")
-    i_all = i_all.astype(np.int64)
-    cut = min(m * int(i_all.max(initial=0)) // 2, len(nodes) * (m + 1) // 2 - 1)
+    t_all = op.grid.nodes[1:]
+    if nodes is not None and not np.array_equal(nodes, t_all):
+        raise ValueError(f"nodes must be None or the measurement nodes i/{n}, i = 1..{n}")
+    # half the largest key m * N, but at most half of the N * (m + 1)
+    # dense points, which binds at N = 1 only
+    cut = min(m * n // 2, n * (m + 1) // 2 - 1)
     nm = float(n * m)
-    # node i reads its first lo points from table[:stop:i] (every point
-    # of a node at 0 is key 0) and calls x_fn at the rest
-    stride_all = np.maximum(i_all, 1)
-    lo_all = np.where(i_all > 0, np.minimum(cut // stride_all, m), m) + 1
+    # node i reads its first lo points from table[:stop:i] and calls x_fn
+    # at the rest
+    i_all = np.arange(1, n + 1)
+    lo_all = np.minimum(cut // i_all, m) + 1
     stop_all = (lo_all - 1) * i_all + 1
-    lo_all, stop_all, stride_all = lo_all.tolist(), stop_all.tolist(), stride_all.tolist()
+    lo_all, stop_all, stride_all = lo_all.tolist(), stop_all.tolist(), i_all.tolist()
     table = _key_table(x_fn, nm, set(zip(stop_all, stride_all)), cut)
-    out = np.zeros(len(nodes))
+    out = np.zeros(n)
     k = np.arange(m + 1.0)
     rows = max(1, _BLOCK_POINTS // (m + 1))
-    for start in range(0, len(nodes), rows):
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
-        t = nodes[block]
+        t = t_all[block]
         s = i_all[block, None] * k / nm
         x = np.empty_like(s)
         for j, (lo, stop, stride) in enumerate(

@@ -34,12 +34,13 @@ def make_setup(n=10, nu=0.0):
     return grid, CubicBSplineBasis(grid), op, DiscreteForwardMap(op)
 
 
-def test_toy_matrix_entries_match_brute_force_quadrature():
-    grid, basis, op, fmap = make_setup(2)
+@pytest.mark.parametrize("n", [1, 2, 7, 25])
+def test_toy_matrix_entries_match_brute_force_quadrature(n):
+    grid, basis, op, fmap = make_setup(n)
     x0 = op.kernel
-    system = assemble_adjoint_system(op, basis, x0, np.zeros(2), fmap)
+    system = assemble_adjoint_system(op, basis, x0, np.zeros(n), fmap)
     s = grid.nodes
-    for j in range(2):
+    for j in range(n):
         spline = SampledFunction(grid, basis.values(s)[j])
         for i, ti in enumerate(fmap.nodes):
             integrand = SampledFunction(grid, op.kernel(ti - s) * spline.values)

@@ -131,51 +131,66 @@ def test_forward_data_exact_rejects_no_subintervals():
         forward_data_exact(make_op(4), x_b, m=0)
 
 
+def _replaced(t, j, value):
+    t = t.copy()
+    t[j] = value
+    return t
+
+
 @pytest.mark.parametrize(
-    "node, m",
-    [(0.3, 64), (1.25, 64), (-1 / 8, 64), (np.nan, 64), (np.inf, 64), (1.0, 2**50)],
-    ids=["off-grid", "above-one", "below-zero", "nan", "inf", "n-m-2**53"],
+    "nodes, m",
+    [
+        pytest.param(lambda t: t[[0, 2, 5]], 64, id="subset"),
+        pytest.param(lambda t: t[::-1], 64, id="permutation"),
+        pytest.param(lambda t: _replaced(t, 3, t[2]), 64, id="duplicate"),
+        pytest.param(lambda t: np.r_[0.0, t], 64, id="leading-zero"),
+        pytest.param(lambda t: _replaced(t, 4, np.nextafter(t[4], 1.0)), 64, id="off-grid"),
+        pytest.param(lambda t: _replaced(t, 7, 1.25), 64, id="above-one"),
+        pytest.param(lambda t: _replaced(t, 0, -1 / 8), 64, id="below-zero"),
+        pytest.param(lambda t: _replaced(t, 7, np.nan), 64, id="nan"),
+        pytest.param(lambda t: _replaced(t, 7, np.inf), 64, id="inf"),
+        pytest.param(lambda t: _replaced(t, 0, -np.inf), 64, id="minus-inf"),
+        pytest.param(lambda t: UniformGrid(16).nodes[1:], 64, id="wrong-length"),
+        pytest.param(lambda t: None, 2**50, id="n-m-2**53"),
+    ],
 )
-def test_forward_data_exact_rejects_nodes_it_cannot_integrate(node, m):
-    # only the nodes i / 8, 0 <= i <= 8, are integrated exactly: a node
-    # beyond 1 would read the kernel clamped at 1 (t = 1.25 gives 0.74997
-    # for x = 1, not 0.78125), and at N * m = 2**53 the keys k * i are no
-    # longer exact. A NaN must not reach an integer cast, whose warning
-    # the suite raises as an error
+def test_forward_data_exact_rejects_nodes_it_cannot_integrate(nodes, m):
+    # only the measurement nodes i / 8, i = 1 ... 8, in order, are
+    # integrated, and at N * m = 2**53 the keys k * i are no longer exact
     op = make_op(8)
     calls = []
     with pytest.raises(ValueError):
-        forward_data_exact(op, lambda t: calls.append(t) or 1.0, [0.5, node], m=m)
+        forward_data_exact(
+            op, lambda t: calls.append(t) or 1.0, nodes(op.grid.nodes[1:]), m=m
+        )
     assert calls == []
 
 
-def _grid_index(n, t):
-    """Exact oracle of the grid index: the i, 0 <= i <= n, with
-    i / n == t."""
-    i = round(Fraction(float(t)) * n)
-    assert 0 <= i <= n and float(Fraction(i, n)) == t
-    return i
+def test_forward_data_exact_takes_the_measurement_nodes_in_any_form():
+    op = make_op(8, nu=0.3)
+    fmap = DiscreteForwardMap(op)
+    y = forward_data_exact(op, x_b, None, m=64)
+    assert np.array_equal(forward_data_exact(op, x_b, fmap.nodes, m=64), y)
+    assert np.array_equal(forward_data_exact(op, x_b, fmap.nodes.tolist(), m=64), y)
 
 
-def _dense_points(n, t, m):
-    """A grid node t = i / n's dense points fl(k * i / (n * m)),
+def _dense_points(n, i, m):
+    """The node t_i = i / n's dense points fl(k * i / (n * m)),
     k = 0 ... m."""
-    i = _grid_index(n, t)
     return np.array([float(Fraction(k * i, n * m)) for k in range(m + 1)])
 
 
-def _linspace_points(n, t, m):
-    return np.linspace(0.0, t, m + 1)
+def _linspace_points(n, i, m):
+    return np.linspace(0.0, i / n, m + 1)
 
 
-def _forward_data_exact_loop(op, x_fn, nodes=None, m=4096, points=_dense_points):
+def _forward_data_exact_loop(op, x_fn, m=4096, points=_dense_points):
     """Reference: the per-node loop that hands x_fn numpy.float64 points,
     on the grid rule's dense points or on np.linspace's."""
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
-    out = np.zeros(len(nodes))
-    for j, t in enumerate(nodes):
-        s = points(op.grid.n, t, m)
+    n = op.grid.n
+    out = np.zeros(n)
+    for j, t in enumerate(op.grid.nodes[1:]):
+        s = points(n, j + 1, m)
         x_s = np.asarray([x_fn(v) for v in s])
         x_rev = x_s[::-1]
         integrand = op.kernel(t - s) * x_s + op.nu * x_rev * x_s
@@ -217,34 +232,35 @@ def test_forward_data_exact_near_linspace_loop_where_n_m_is_not_dyadic(x_fn, n, 
 
 @pytest.mark.parametrize("n, m", [(12, 96), (25, 200), (60, 480)])
 def test_forward_data_exact_grid_points_reflect_exactly(n, m):
-    # x(t - s_k) is read as x(s_{m-k}): on a grid node t = i / N that
-    # point is the exact reflection i / N - k * i / (N * m) rounded once,
-    # which np.linspace's k * fl(t / m) is not on every node
-    op = make_op(n)
+    # x(t_i - s_k) is read as x(s_{m-k}): that point is the exact
+    # reflection i / N - k * i / (N * m) rounded once, which np.linspace's
+    # k * fl(t_i / m) is not on every node. With x the identity, kernel 1
+    # and nu = 0 the integrand rows of one full call are the arguments
+    # x_fn received at each node's dense points.
+    grid = UniformGrid(n)
+    op = QuadraticVolterraOperator(SampledFunction(grid, np.ones(n + 1)), 0.0)
+    with mock.patch.object(np, "trapezoid", wraps=np.trapezoid) as trapezoid:
+        forward_data_exact(op, lambda t: t, m=m)
+    rows = np.concatenate([c.args[0] for c in trapezoid.call_args_list])
+    assert rows.shape == (n, m + 1)
     linspace_exact = True
-    for i in range(1, n + 1):
-        args = []
-        forward_data_exact(op, lambda t: args.append(t) or t, [i / n], m=m)
-        s = sorted(args)
-        assert len(s) == m + 1 and s[-1] == i / n
+    for i, args in enumerate(rows.tolist(), start=1):
         reflected = [float(Fraction(i, n) - Fraction(k * i, n * m)) for k in range(m + 1)]
-        assert s[::-1] == reflected
-        linspace_exact &= _linspace_points(n, i / n, m)[::-1].tolist() == reflected
+        assert args[::-1] == reflected
+        linspace_exact &= _linspace_points(n, i, m)[::-1].tolist() == reflected
     assert not linspace_exact
 
 
-def _expected_calls(op, nodes, m):
+def _expected_calls(op, m):
     """x_fn calls of forward_data_exact: one per distinct key k * i at or
     below the cut and one per point above it; the cut is half the
-    largest key m * max(i), but the table holds at most half of the
-    dense points."""
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
-    index = [_grid_index(op.grid.n, t) for t in nodes]
-    cut = min(m * max(index) // 2, len(nodes) * (m + 1) // 2 - 1)
+    largest key m * N, but the table holds at most half of the dense
+    points."""
+    n = op.grid.n
+    cut = min(m * n // 2, n * (m + 1) // 2 - 1)
     keys = set()
     calls = 0
-    for i in index:
+    for i in range(1, n + 1):
         node_keys = np.arange(m + 1) * i
         keys.update(node_keys[node_keys <= cut].tolist())
         calls += int(np.sum(node_keys > cut))
@@ -262,8 +278,8 @@ def _check_calls(op, x_fn, nodes, m):
         return x_fn(t)
 
     y, cut = _table_cut(op, counted, nodes, m)
-    assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, nodes, m=m))
-    assert len(args) == _expected_calls(op, nodes, m)
+    assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, m=m))
+    assert len(args) == _expected_calls(op, m)
     assert all(type(t) is float for t in args)
     assert 2 * (cut + 1) <= len(y) * (m + 1)
     return len(args)
@@ -290,18 +306,14 @@ DYADIC_N = [2**p for p in range(6)]
 
 @st.composite
 def grid_node_cases(draw, sizes=st.integers(1, 12) | st.sampled_from(DYADIC_N)):
-    """Operator, branchy callable, m and measurement nodes: None for the
-    grid nodes t_1 ... t_N, else grid nodes i / N with some dropped, with
-    duplicates and 0.0, in any order."""
+    """Operator, branchy callable, m and the measurement nodes t_1 ... t_N:
+    None, the forward map's array or the same nodes as a list."""
     n = draw(sizes)
     op = make_op(n, nu=draw(st.floats(0.0, 1.0)))
     x_fn = draw(branchy_callables())
     m = draw(st.sampled_from([1, 2, 3, 7, 8 * n, 8 * n + 1, 4096]))
-    dropped = draw(st.sets(st.integers(1, n), max_size=n - 1))
-    i = [j for j in range(1, n + 1) if j not in dropped]
-    i += draw(st.lists(st.integers(1, n), max_size=4))
-    nodes = [j / n for j in i] + [0.0] * draw(st.integers(0, 2))
-    nodes = draw(st.none() | st.permutations(nodes).map(np.asarray))
+    nodes = DiscreteForwardMap(op).nodes
+    nodes = draw(st.sampled_from([None, nodes, nodes.tolist()]))
     return op, x_fn, m, nodes
 
 
@@ -310,16 +322,6 @@ def grid_node_cases(draw, sizes=st.integers(1, 12) | st.sampled_from(DYADIC_N)):
 def test_forward_data_exact_matches_loop_for_branchy_callables(case):
     op, x_fn, m, nodes = case
     _check_calls(op, x_fn, nodes, m)
-
-
-@settings(max_examples=40)
-@given(grid_node_cases())
-def test_forward_data_exact_node_value_ignores_other_nodes(case):
-    op, x_fn, m, nodes = case
-    if nodes is None:
-        nodes = op.grid.nodes[1:]
-    alone = [forward_data_exact(op, x_fn, nodes[j : j + 1], m=m) for j in range(len(nodes))]
-    assert np.array_equal(forward_data_exact(op, x_fn, nodes, m=m), np.concatenate(alone))
 
 
 @settings(max_examples=40)
@@ -332,19 +334,17 @@ def test_forward_data_exact_key_table_on_dyadic_nodes(case):
     if m & (m - 1) == 0:
         assert np.array_equal(
             forward_data_exact(op, x_fn, nodes, m=m),
-            _forward_data_exact_loop(op, x_fn, nodes, m=m, points=_linspace_points),
+            _forward_data_exact_loop(op, x_fn, m=m, points=_linspace_points),
         )
 
 
-@pytest.mark.parametrize("zero_node", [False, True])
-def test_forward_data_exact_matches_loop_across_blocks(zero_node):
-    # at m = 320 a block holds 25 of the 40 grid nodes, so the rows that
-    # read the key table fall in two blocks; a 0.0 node comes first
+def test_forward_data_exact_matches_loop_across_blocks():
+    # at m = 320 a block holds 25 of the 40 measurement nodes, so the rows
+    # that read the key table fall in two blocks
     op = make_op(40, nu=0.3)
-    nodes = op.grid.nodes[int(not zero_node) :]
     m = 320
     assert volterra._BLOCK_POINTS // (m + 1) == 25
-    _check_calls(op, x_b, nodes, m)
+    _check_calls(op, x_b, None, m)
 
 
 @pytest.mark.parametrize(
@@ -359,24 +359,22 @@ def test_forward_data_exact_calls_x_with_python_floats(n, m, calls):
 
 
 @pytest.mark.parametrize(
-    "nodes, m, cut",
+    "n, m, cut",
     [
-        # a 0.0 node is the grid node i = 0: every point is key 0, read
-        # from the table beside the keys of 1/4 up to the cut
-        ([0.0, 0.25, 0.0], 4, 2),
-        # 0.0 alone: the table is key 0, and x is called once
-        ([0.0], 4, 0),
         # one subinterval: the table of at most half the 2 dense points
         # is key 0, and the last point is called
-        ([1.0], 1, 0),
+        (1, 1, 0),
+        # at N = 1 half the dense points bind: keys 0 and 1 of 0 ... 4
+        (1, 4, 1),
+        # at N = 2 half the largest key does: keys 0 and 1 of 0 ... 2
+        (2, 1, 1),
     ],
-    ids=["zero-node", "zero-only", "one-subinterval"],
+    ids=["one-subinterval", "one-node", "two-nodes"],
 )
-def test_forward_data_exact_key_table_edges(nodes, m, cut):
-    op = make_op(4, nu=0.3)
-    nodes = np.asarray(nodes)
-    _check_calls(op, x_b, nodes, m)
-    assert _table_cut(op, x_b, nodes, m)[1] == cut
+def test_forward_data_exact_key_table_edges(n, m, cut):
+    op = make_op(n, nu=0.3)
+    _check_calls(op, x_b, None, m)
+    assert _table_cut(op, x_b, None, m)[1] == cut
 
 
 def test_linearization_uses_doubled_quadratic_term():
@@ -398,6 +396,20 @@ def test_linearization_reduces_to_operator_for_nu_zero():
     np.testing.assert_allclose(
         forward_dA(fmap, x0, f), forward_data(fmap, f), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25])
+def test_weights_integrate_each_hat_up_to_each_node(n):
+    # with kernel 1 and nu = 0, D is the trapezoid weight matrix: W[i - 1, k]
+    # is the integral of the hat at s_k over [0, t_i], exactly 0 beyond t_i
+    grid = UniformGrid(n)
+    op = QuadraticVolterraOperator(SampledFunction(grid, np.ones(n + 1)), 0.0)
+    fmap = DiscreteForwardMap(op)
+    w = linearization_matrix(fmap, op.kernel)
+    hats = [SampledFunction(grid, e) for e in np.eye(n + 1)]
+    direct = [[quad_weighted_integral(f, 0.0, t) for f in hats] for t in fmap.nodes]
+    np.testing.assert_allclose(w, direct, rtol=0, atol=1e-15)
+    assert np.all(w[np.triu_indices(n, 2, n + 1)] == 0.0)
 
 
 @st.composite
