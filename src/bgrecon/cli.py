@@ -55,8 +55,8 @@ HONOURED = {"fig2": PARAMETERS}
 # How the manifest writes the float parameters; n and seed are integers.
 _FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 3.6-3.8 s and 168 MB; a much
-# larger N would only fail to allocate its grid.
+# (N = 25..400). fig2 at N = 1000 runs in 5.0-5.4 s and 154 MB on two
+# vCPUs; a much larger N would only fail to allocate its grid.
 N_MAX = 1000
 
 

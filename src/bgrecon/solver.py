@@ -6,13 +6,13 @@ The adjoint system has one equation per basis spline,
     sum_i <dA(x0)* e_i, S_j> phi_i = <mu, S_j>,   j = 0..N-1,
 
 plus one extra row enforcing <phi, A x0 - dA(x0) x0> = 0, giving an
-overdetermined (N+1) x N system. Both parts come from the one
-linearization matrix D of dA(x0): the block is S D^T with S the spline
-samples, the extra row is A x0 - D x0. The system does not depend on the
-data, and its minimum-norm least-squares solution is taken through one
-pseudo-inverse. All inner products use the same grid trapezoid rule as
-the forward map, so reconstruction is exact on the spline subspace for
-linear operators.
+overdetermined (N+1) x N system. The block is S D^T, with S the spline
+samples and D the linearization matrix of dA(x0); the extra row is
+A x0 - D x0 = -nu A1(x0, x0), built from the quadratic term alone. The
+system does not depend on the data, and its minimum-norm least-squares
+solution is taken through one pseudo-inverse. All inner products use
+the same grid trapezoid rule as the forward map, so reconstruction is
+exact on the spline subspace for linear operators.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .volterra import (
     forward_dA,
     forward_data,
     linearization_matrix,
+    quadratic_data,
 )
 
 
@@ -91,10 +92,10 @@ def assemble_adjoint_system(
             f"expected {basis.size} moments per target, got shape {mu_moments.shape}"
         )
     d = linearization_matrix(fmap, x0)
-    # block[j, i] = <dA(x0)* e_i, S_j>; the extra row is A x0 - dA(x0) x0,
-    # identically 0 for nu = 0
+    # block[j, i] = <dA(x0)* e_i, S_j>; the extra row is
+    # A x0 - dA(x0) x0 = -nu A1(x0, x0), identically 0 for nu = 0
     block = basis.node_values() @ d.T
-    matrix = np.vstack([block, forward_data(fmap, x0) - d @ x0.values])
+    matrix = np.vstack([block, -quadratic_data(fmap, x0)])
     condition = float(np.linalg.cond(block))
     if condition > CONDITION_LIMIT:
         raise NearSingularSystemError(

@@ -75,20 +75,29 @@ def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     return _weighted_kernel(fmap, x, fmap.op.nu) @ x.values
 
 
+def quadratic_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
+    """Vector [nu * A1(x, x)(t_i)] over the measurement nodes, the
+    quadratic part of forward_data; Ax - dA(x)x = -nu * A1(x, x)."""
+    w = _trapezoid_weights(fmap.op.grid.n)
+    return (w * (fmap.op.nu * x(fmap.lags))) @ x.values
+
+
 # Dense points per block of forward_data_exact: the block's few arrays
 # stay in cache, and at m = 8N a block holds tens of nodes. The key table
 # is filled in chunks of as many keys.
 _BLOCK_POINTS = 2**13
 
 
-def _key_table(x_fn, nm: float, reads: set, cut: int) -> np.ndarray:
-    """x_fn at key / nm for every key <= cut that some node reads, a node
-    reading keys[:stop:stride]; each such key is evaluated once."""
-    used = np.zeros(cut + 1, dtype=bool)
-    for stop, stride in reads:
-        used[:stop:stride] = True
-    table = np.empty(cut + 1)
-    for start in range(0, cut + 1, _BLOCK_POINTS):
+def _key_table(x_fn, n: int, m: int) -> np.ndarray:
+    """Table of N * m + 1 entries holding x_fn(key / (N * m)) at every
+    key k * i, k = 0 ... m, i = 1 ... N, each evaluated once; the other
+    entries are never read."""
+    nm = n * m
+    used = np.zeros(nm + 1, dtype=bool)
+    for i in range(1, n + 1):
+        used[: m * i + 1 : i] = True
+    table = np.empty(nm + 1)
+    for start in range(0, nm + 1, _BLOCK_POINTS):
         keys = start + np.flatnonzero(used[start : start + _BLOCK_POINTS])
         table[keys] = np.fromiter(map(x_fn, (keys / nm).tolist()), float, len(keys))
     return table
@@ -120,9 +129,8 @@ def forward_data_exact(
     x_fn is a pure scalar callable float -> float. It is called with
     Python floats, which round exactly as numpy.float64 does and are
     several times cheaper in scalar code, in unspecified order: once per
-    distinct key up to the cut m * N / 2 (t = 1/2), through a key table,
-    and once per dense point above it. At N = 1 the table holds at most
-    half of the m + 1 dense points.
+    distinct key k * i, through a key table of N * m + 1 entries, so
+    never twice with the same argument.
 
     Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
     node when m + 1 exceeds it); each block makes one kernel
@@ -136,30 +144,18 @@ def forward_data_exact(
     t_all = op.grid.nodes[1:]
     if nodes is not None and not np.array_equal(nodes, t_all):
         raise ValueError(f"nodes must be None or the measurement nodes i/{n}, i = 1..{n}")
-    # half the largest key m * N, but at most half of the N * (m + 1)
-    # dense points, which binds at N = 1 only
-    cut = min(m * n // 2, n * (m + 1) // 2 - 1)
+    table = _key_table(x_fn, n, m)
     nm = float(n * m)
-    # node i reads its first lo points from table[:stop:i] and calls x_fn
-    # at the rest
     i_all = np.arange(1, n + 1)
-    lo_all = np.minimum(cut // i_all, m) + 1
-    stop_all = (lo_all - 1) * i_all + 1
-    lo_all, stop_all, stride_all = lo_all.tolist(), stop_all.tolist(), i_all.tolist()
-    table = _key_table(x_fn, nm, set(zip(stop_all, stride_all)), cut)
+    k = np.arange(m + 1)
     out = np.zeros(n)
-    k = np.arange(m + 1.0)
     rows = max(1, _BLOCK_POINTS // (m + 1))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         t = t_all[block]
-        s = i_all[block, None] * k / nm
-        x = np.empty_like(s)
-        for j, (lo, stop, stride) in enumerate(
-            zip(lo_all[block], stop_all[block], stride_all[block])
-        ):
-            x[j, :lo] = table[:stop:stride]
-            x[j, lo:] = np.fromiter(map(x_fn, s[j, lo:].tolist()), float, m + 1 - lo)
+        keys = i_all[block, None] * k
+        s = keys / nm
+        x = table[keys]
         x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
         integrand = op.kernel(t[:, None] - s) * x + op.nu * x_rev * x
         out[block] = np.trapezoid(integrand, s, axis=-1)

@@ -82,9 +82,18 @@ def test_constraint_row_scales_linearly_in_nu():
     np.testing.assert_allclose(2 * rows[0], rows[1], atol=1e-13)
 
 
-def test_assembly_builds_the_weighted_kernel_twice(monkeypatch):
-    # one linearization matrix serves the block and the constraint row;
-    # the second build is the forward data A x0
+def test_constraint_row_is_the_linearization_remainder():
+    # the row is A x0 - dA(x0) x0, built without the difference
+    grid, basis, op, fmap = make_setup(12, nu=0.3)
+    x0 = SampledFunction.from_callable(grid, lambda t: 1 + np.sin(3 * t))
+    system = assemble_adjoint_system(op, basis, x0, np.zeros(basis.size), fmap)
+    remainder = forward_data(fmap, x0) - linearization_matrix(fmap, x0) @ x0.values
+    np.testing.assert_allclose(system.matrix[-1], remainder, rtol=1e-13, atol=0)
+
+
+def test_assembly_builds_the_weighted_kernel_once(monkeypatch):
+    # one linearization matrix serves the block; the constraint row is
+    # the quadratic term alone, not the difference A x0 - D x0
     grid, basis, op, fmap = make_setup(8, nu=0.1)
     builds = []
     weighted_kernel = volterra._weighted_kernel
@@ -95,7 +104,7 @@ def test_assembly_builds_the_weighted_kernel_twice(monkeypatch):
 
     monkeypatch.setattr(volterra, "_weighted_kernel", counting)
     assemble_adjoint_system(op, basis, op.kernel, np.zeros(basis.size), fmap)
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_near_singular_block_is_rejected():

@@ -88,14 +88,6 @@ def test_forward_data_exact_against_closed_form():
         assert y[i] == pytest.approx(t**3 / 3, rel=1e-6)
 
 
-def _table_cut(op, x_fn, nodes, m):
-    """forward_data_exact's y, and the cut of the key table it filled
-    (its largest key)."""
-    with mock.patch.object(volterra, "_key_table", wraps=volterra._key_table) as table:
-        y = forward_data_exact(op, x_fn, nodes, m=m)
-    return y, table.call_args.args[-1]
-
-
 def _ramp(t):
     return np.maximum(t - 0.5, 0.0)
 
@@ -115,13 +107,11 @@ CLOSED_FORMS = {
 @pytest.mark.parametrize("n", [25, 32, 50, 64])
 def test_forward_data_exact_against_closed_forms_on_both_paths(case, n):
     # at m = 4096, N * m is a power of two for N = 32 and 64 (the dense
-    # points are np.linspace's) and not for N = 25 and 50; every grid
-    # node takes the key table, and all stay within the dense trapezoid
-    # rule's error
+    # points are np.linspace's) and not for N = 25 and 50; both stay
+    # within the dense trapezoid rule's error
     x_fn, nu, exact = CLOSED_FORMS[case]
     op = make_op(n, nu=nu)
-    y, cut = _table_cut(op, x_fn, None, 4096)
-    assert cut == 4096 * n // 2
+    y = forward_data_exact(op, x_fn, m=4096)
     closed = exact(op.grid.nodes[1:])
     assert np.max(np.abs(y - closed)) <= 1e-7 * np.max(np.abs(closed))
 
@@ -252,36 +242,36 @@ def test_forward_data_exact_grid_points_reflect_exactly(n, m):
 
 
 def _expected_calls(op, m):
-    """x_fn calls of forward_data_exact: one per distinct key k * i at or
-    below the cut and one per point above it; the cut is half the
-    largest key m * N, but the table holds at most half of the dense
-    points."""
+    """x_fn calls of forward_data_exact: one per distinct key k * i,
+    k = 0 ... m, i = 1 ... N."""
     n = op.grid.n
-    cut = min(m * n // 2, n * (m + 1) // 2 - 1)
-    keys = set()
-    calls = 0
-    for i in range(1, n + 1):
-        node_keys = np.arange(m + 1) * i
-        keys.update(node_keys[node_keys <= cut].tolist())
-        calls += int(np.sum(node_keys > cut))
-    return len(keys) + calls
+    return len(set().union(*(range(0, m * i + 1, i) for i in range(1, n + 1))))
 
 
 def _check_calls(op, x_fn, nodes, m):
     """forward_data_exact equals the loop oracle bit for bit, calls x_fn
-    with Python floats as often as expected, and keeps its key table
-    within half of the dense points; returns the call count."""
+    with Python floats as often as expected and never twice with one
+    argument, and fills a key table of N * m + 1 entries; returns the
+    call count."""
     args = []
+    tables = []
+    key_table = volterra._key_table
 
     def counted(t):
         args.append(t)
         return x_fn(t)
 
-    y, cut = _table_cut(op, counted, nodes, m)
+    def kept(*a):
+        tables.append(key_table(*a))
+        return tables[-1]
+
+    with mock.patch.object(volterra, "_key_table", kept):
+        y = forward_data_exact(op, counted, nodes, m=m)
     assert np.array_equal(y, _forward_data_exact_loop(op, x_fn, m=m))
     assert len(args) == _expected_calls(op, m)
+    assert len(set(args)) == len(args)
     assert all(type(t) is float for t in args)
-    assert 2 * (cut + 1) <= len(y) * (m + 1)
+    assert [len(table) for table in tables] == [op.grid.n * m + 1]
     return len(args)
 
 
@@ -339,8 +329,8 @@ def test_forward_data_exact_key_table_on_dyadic_nodes(case):
 
 
 def test_forward_data_exact_matches_loop_across_blocks():
-    # at m = 320 a block holds 25 of the 40 measurement nodes, so the rows
-    # that read the key table fall in two blocks
+    # at m = 320 a block holds 25 of the 40 measurement nodes, so the
+    # nodes' gathers from the key table fall in two blocks
     op = make_op(40, nu=0.3)
     m = 320
     assert volterra._BLOCK_POINTS // (m + 1) == 25
@@ -348,33 +338,30 @@ def test_forward_data_exact_matches_loop_across_blocks():
 
 
 @pytest.mark.parametrize(
-    "n, m, calls", [(12, 96, 601), (64, 4096, 118_424)], ids=["None", "N64-m4096"]
+    "n, m, calls", [(12, 96, 559), (64, 4096, 107_007)], ids=["None", "N64-m4096"]
 )
 def test_forward_data_exact_calls_x_with_python_floats(n, m, calls):
-    # N = 12, m = 96: the table holds the keys up to 576 (t = 1/2) that
-    # some node reads, once each. At N = 64, m = 4096 the table serves
-    # every point up to t = 1/2 once.
+    # one call per distinct key k * i: 559 for the 1,164 dense points at
+    # N = 12, m = 96, and 107,007 for the 262,208 at N = 64, m = 4096
     op = make_op(n, nu=0.2)
     assert _check_calls(op, x_b, None, m) == calls
 
 
 @pytest.mark.parametrize(
-    "n, m, cut",
+    "n, m, calls",
     [
-        # one subinterval: the table of at most half the 2 dense points
-        # is key 0, and the last point is called
-        (1, 1, 0),
-        # at N = 1 half the dense points bind: keys 0 and 1 of 0 ... 4
-        (1, 4, 1),
-        # at N = 2 half the largest key does: keys 0 and 1 of 0 ... 2
-        (2, 1, 1),
+        # one subinterval: keys 0 and 1, the table's every entry
+        (1, 1, 2),
+        # one node: keys 0 ... 4
+        (1, 4, 5),
+        # two nodes: keys 0 and 1 of node 1 and 0 and 2 of node 2
+        (2, 1, 3),
     ],
     ids=["one-subinterval", "one-node", "two-nodes"],
 )
-def test_forward_data_exact_key_table_edges(n, m, cut):
+def test_forward_data_exact_key_table_edges(n, m, calls):
     op = make_op(n, nu=0.3)
-    _check_calls(op, x_b, None, m)
-    assert _table_cut(op, x_b, None, m)[1] == cut
+    assert _check_calls(op, x_b, None, m) == calls
 
 
 def test_linearization_uses_doubled_quadratic_term():
