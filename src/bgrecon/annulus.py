@@ -43,6 +43,11 @@ GAMMA_R = "gamma_r"
 GAMMA_L = "gamma_l"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class AnnulusGrid:
     n_r: int
@@ -75,10 +80,25 @@ class AnnulusGrid:
     def n_half(self) -> int:
         return self.n_theta // 2
 
-    @property
+    # Per-grid geometry below is computed on first use and cached
+    # read-only on the grid, so a grid that never asks for it pays nothing.
+
+    @cached_property
     def arc_params(self) -> np.ndarray:
         """Arc angle t in [0, pi] at the n_half+1 nodes of an outer half."""
-        return self.dtheta * np.arange(self.n_half + 1)
+        return _read_only(self.dtheta * np.arange(self.n_half + 1))
+
+    @cached_property
+    def arc_steps(self) -> np.ndarray:
+        """Trapezoid steps diff(arc_params)."""
+        return _read_only(np.diff(self.arc_params))
+
+    @cached_property
+    def blend_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos^2(t/2) and sin^2(t/2) at arc_params, eta_blend's weights of
+        its values at P1 and P2."""
+        half = self.arc_params / 2
+        return _read_only(np.cos(half) ** 2), _read_only(np.sin(half) ** 2)
 
     def segment_angular_indices(self, segment: str) -> np.ndarray:
         """Angular node indices m along an outer half, ordered by arc
@@ -105,7 +125,7 @@ class BoundaryTrace:
             raise ValueError(
                 f"{self.segment} trace needs {expected} values, got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("trace values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -125,6 +145,7 @@ class BoundaryTrace:
 # columns at most 5 eps, so 64 eps leaves a tenfold margin and still
 # rejects a wrong solve.
 BACKWARD_LIMIT = 64 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Singular values below this fraction of the largest are cut from the
 # sentinel TSVD (table1_tsvd.csv shows which are kept).
@@ -143,8 +164,8 @@ class AnnulusBVPSolver:
     without its contact nodes) Lambda is symmetric positive definite. One
     multi-right-hand-side solve X = Lambda_LL^-1 [I | Lambda_LR], with
     blocks X_I and X_C, is made once and accepted column by column; every
-    outer operator is a product with its blocks, so a solve is two
-    matrix-vector products.
+    outer operator is a product with its blocks, so a solve is at most two
+    matrix-vector products, one per half of data it is given.
 
     The solver owns every per-grid operator: the flux-to-trace matrix F
     (flux_to_trace), its truncated SVD (tsvd) and the Kozlov-Maz'ya step
@@ -171,9 +192,11 @@ class AnnulusBVPSolver:
         column = np.fft.ifft(ell).real
         m = np.arange(n_t)
         self._dtn = column[(m[:, None] - m) % n_t]
-        # Gamma_r's nodes and Gamma_l's interior nodes, each in arc order
+        # Gamma_r's and Gamma_l's nodes and Gamma_l's interior nodes, each
+        # in arc order
         self._r = grid.segment_angular_indices(GAMMA_R)
-        self._l = grid.segment_angular_indices(GAMMA_L)[1:-1]
+        self._l_all = grid.segment_angular_indices(GAMMA_L)
+        self._l = self._l_all[1:-1]
         self._block = self._dtn[np.ix_(self._l, self._l)]
         self._coupling = self._dtn[np.ix_(self._l, self._r)]
         # ||Lambda_LL||_inf, the max row sum, for the backward-error test
@@ -192,7 +215,7 @@ class AnnulusBVPSolver:
         n = len(self._r)
         self.flux_to_trace = np.zeros((n, n))
         self.flux_to_trace[:, 1:-1] = dtn_rl @ self._x_i
-        self.flux_to_trace.flags.writeable = False
+        _read_only(self.flux_to_trace)
         self._dirichlet_to_flux = self._dtn[np.ix_(self._r, self._r)] - dtn_rl @ self._x_c
 
     @cached_property
@@ -207,10 +230,7 @@ class AnnulusBVPSolver:
         sentinel solve or range test."""
         u, sigma, vt = np.linalg.svd(self.flux_to_trace)
         keep = sigma > SENTINEL_RCOND * sigma[0]
-        factors = (sigma, u[:, keep], sigma[keep], vt[keep])
-        for factor in factors:
-            factor.flags.writeable = False
-        return factors
+        return tuple(map(_read_only, (sigma, u[:, keep], sigma[keep], vt[keep])))
 
     @cached_property
     def step_matrix(self) -> np.ndarray:
@@ -226,31 +246,27 @@ class AnnulusBVPSolver:
         and S reads only its interior columns. M does not depend on the
         data; it is built on first use, so a grid that never iterates
         pays no product."""
-        step = self._dirichlet_to_flux[:, 1:-1] @ self._x_i
-        step.flags.writeable = False
-        return step
+        return _read_only(self._dirichlet_to_flux[:, 1:-1] @ self._x_i)
 
     def _accept(self, x: np.ndarray, rhs: np.ndarray) -> None:
         """Raise RuntimeError unless x, a vector or each column of a matrix,
         passes the normwise backward-error test for Lambda_LL x = rhs:
         max|Lambda_LL x - rhs| <= BACKWARD_LIMIT * (||Lambda_LL||_inf max|x|
         + max|rhs|) + tiny."""
-        residual = np.max(np.abs(self._block @ x - rhs), axis=0)
+        residual = abs(self._block @ x - rhs).max(axis=0)
         # a product, not a ratio, so zero data (x = 0) make no 0/0; below
         # the smallest normal number (tiny) rounding errors are absolute
-        scale = self._norm * np.max(np.abs(x), axis=0) + np.max(np.abs(rhs), axis=0)
-        if np.any(residual > BACKWARD_LIMIT * scale + np.finfo(float).tiny):
+        scale = self._norm * abs(x).max(axis=0) + abs(rhs).max(axis=0)
+        if (residual > BACKWARD_LIMIT * scale + _TINY).any():
             raise RuntimeError(
-                f"block residual {np.max(residual):.3e} fails backward-error test"
+                f"block residual {residual.max():.3e} fails backward-error test"
             )
 
     def _data(self, segment: str, values) -> np.ndarray:
-        n = self.grid.n_half + 1
-        if values is None:
-            return np.zeros(n)
-        if np.shape(values) != (n,):
-            raise ValueError(f"{segment} data needs {n} values, got {np.shape(values)}")
-        return np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if values.shape != self._r.shape:
+            raise ValueError(f"{segment} data needs {self._r.size} values, got {values.shape}")
+        return values
 
     def solve(self, gamma_r=None, gamma_l=None) -> np.ndarray:
         """Outer trace u at all n_theta angular nodes for Dirichlet values
@@ -259,13 +275,22 @@ class AnnulusBVPSolver:
         ignored, since gamma_r sets those nodes.
 
         u_L = X_I g_L - X_C u_R, accepted by the backward-error test
-        against Lambda_LL u_L = g_L - Lambda_LR u_R."""
-        u_r = self._data(GAMMA_R, gamma_r)
-        g_l = self._data(GAMMA_L, gamma_l)[1:-1]
-        u_l = self._x_i @ g_l - self._x_c @ u_r
-        self._accept(u_l, g_l - self._coupling @ u_r)
+        against Lambda_LL u_L = g_L - Lambda_LR u_R. Only the given halves
+        are multiplied: an omitted half's product would be +0, and
+        subtracting +0 or subtracting from it is exact, so u_L and the
+        right-hand side are the same floats without it."""
         u = np.zeros(self.grid.n_theta)
-        u[self._r] = u_r
+        if gamma_l is None:
+            u_l = rhs = np.zeros(self._l.size)
+        else:
+            rhs = self._data(GAMMA_L, gamma_l)[1:-1]
+            u_l = self._x_i @ rhs
+        if gamma_r is not None:
+            u_r = self._data(GAMMA_R, gamma_r)
+            u_l = u_l - self._x_c @ u_r
+            rhs = rhs - self._coupling @ u_r
+            u[self._r] = u_r
+        self._accept(u_l, rhs)
         u[self._l] = u_l
         return u
 
@@ -299,8 +324,8 @@ def _solver_for(grid: AnnulusGrid, trace: BoundaryTrace, segment: str) -> Annulu
 def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
     """A(phi) = trace on Gamma_l of the harmonic field with w = phi on
     Gamma_r and zero Neumann data on Gamma_l and Gamma_i."""
-    w = _solver_for(grid, phi, GAMMA_R).solve(gamma_r=phi.values)
-    return BoundaryTrace(grid, GAMMA_L, w[grid.segment_angular_indices(GAMMA_L)])
+    solver = _solver_for(grid, phi, GAMMA_R)
+    return BoundaryTrace(grid, GAMMA_L, solver.solve(gamma_r=phi.values)[solver._l_all])
 
 
 def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
@@ -308,22 +333,24 @@ def apply_A_sharp(grid: AnnulusGrid, psi: BoundaryTrace) -> BoundaryTrace:
     with v = 0 on Gamma_r, v_nu = psi on Gamma_l, v_nu = 0 on Gamma_i."""
     solver = _solver_for(grid, psi, GAMMA_L)
     vn = solver.outer_normal_derivative(solver.solve(gamma_l=psi.values))
-    return BoundaryTrace(grid, GAMMA_R, vn[grid.segment_angular_indices(GAMMA_R)])
+    return BoundaryTrace(grid, GAMMA_R, vn[solver._r])
 
 
 def trace_inner(u: BoundaryTrace, v: BoundaryTrace) -> float:
     """Trapezoid inner product over arc length on a shared outer half of
-    a shared grid (half-weights at the shared contact endpoints)."""
+    a shared grid (half-weights at the shared contact endpoints): the
+    arithmetic of np.trapezoid(u v, arc_params) on the grid's cached
+    steps."""
     if u.segment != v.segment or u.grid != v.grid:
         raise ValueError("traces must share an outer half segment and a grid")
-    return float(np.trapezoid(u.values * v.values, u.grid.arc_params))
+    y = u.values * v.values
+    return float((u.grid.arc_steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def eta_blend(grid: AnnulusGrid, a: float, b: float) -> BoundaryTrace:
     """Smooth Gamma_r trace with value a at P1 (t=0) and b at P2 (t=pi)."""
-    t = grid.arc_params
-    vals = a * np.cos(t / 2) ** 2 + b * np.sin(t / 2) ** 2
-    return BoundaryTrace(grid, GAMMA_R, vals)
+    cos2, sin2 = grid.blend_weights
+    return BoundaryTrace(grid, GAMMA_R, a * cos2 + b * sin2)
 
 
 def correction_functional(
@@ -424,6 +451,8 @@ def kozlov_mazya_solve(
     affine = np.zeros((n, n))
     affine[:, :-2] = solver.step_matrix
     affine[:, -1] = -(flux_to_trace @ mu.values)
+    # bound once: ndarray.dot skips np.dot's dispatch on every step
+    step = affine.dot
     block = np.zeros((_BLOCK_STEPS, n + 1))
     block[:, -1] = 1.0
     etas = block[:, :-1]
@@ -433,11 +462,11 @@ def kozlov_mazya_solve(
     for k0 in range(0, max_iter + 1, _BLOCK_STEPS):
         rows = min(_BLOCK_STEPS, max_iter + 1 - k0)
         if k0:
-            np.dot(affine, block[-1, 1:], out=etas[0])
+            step(block[-1, 1:], out=etas[0])
         for eta, following in zip(block[: rows - 1, 1:], etas[1:rows]):
-            np.dot(affine, eta, out=following)
+            step(eta, out=following)
         found = residuals[k0 : k0 + rows]
-        np.max(np.abs(etas[:rows] @ flux_to_trace.T + mu.values), axis=1, out=found)
+        abs(etas[:rows] @ flux_to_trace.T + mu.values).max(axis=1, out=found)
         hits = np.flatnonzero(found <= tol)
         if hits.size:
             converged = True
@@ -451,7 +480,7 @@ def kozlov_mazya_solve(
             break
     kept = solver.tsvd[1]
     outside = mu.values - kept @ (kept.T @ mu.values)
-    inconsistent = bool(np.max(np.abs(outside)) > RANGE_LIMIT * np.max(np.abs(mu.values)))
+    inconsistent = bool(abs(outside).max() > RANGE_LIMIT * abs(mu.values).max())
     return KozlovMazyaResult(
         BoundaryTrace(grid, GAMMA_L, etas[rows - 1].copy()),
         residuals[: k0 + rows],

@@ -199,7 +199,7 @@ def _run_fig2(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def fig3_errors(n_values=None):
-    """Error at t = 1/2 for x_a(t) = 2t and the hat function, per N."""
+    """Error at t = 1/2 for x_lin2t(t) = 2t and the hat function x_b, per N."""
     if n_values is None:
         n_values = range(10, 51)
     rows = []

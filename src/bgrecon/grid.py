@@ -39,7 +39,7 @@ class SampledFunction:
             raise ValueError(
                 f"expected {self.grid.n + 1} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("sampled values must be finite")
         object.__setattr__(self, "values", vals)
 

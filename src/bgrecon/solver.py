@@ -50,7 +50,7 @@ class WeightVector:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("weight coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -147,7 +147,7 @@ def reconstruct_profile(
     # order (np.sum and matmul group them by shape), so a target's value
     # does not depend on the other targets in the call.
     values = np.cumsum(data_row[:, None] * system.rhs, axis=0)[-1]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise FloatingPointError("reconstructed values are not finite")
     return [(t0, float(v)) for t0, v in zip(targets, values)]
 

@@ -24,6 +24,16 @@ DIRICHLET_L = (NEUMANN, DIRICHLET, NEUMANN)
 PATTERNS = [pytest.param(DIRICHLET_R, id="kinds3"), pytest.param(DIRICHLET_L, id="kinds5")]
 
 
+GRIDS = (an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64))
+
+
+def assert_same_bits(actual, expected):
+    """Equal floats including the sign of zero."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 def ring_rows(grid, k):
     """The n_theta finite-difference rows of ring k, over all
     n_r * n_theta nodes (flat index k * n_theta + m).
@@ -148,6 +158,38 @@ def test_grid_geometry():
     left = g.segment_angular_indices(an.GAMMA_L)
     assert right[0] == left[0] == 0
     assert right[-1] == left[-1] == g.n_half
+
+
+def test_grid_geometry_is_cached_read_only():
+    g = an.AnnulusGrid(9, 16)
+    assert g.arc_params is g.arc_params
+    assert g.arc_steps is g.arc_steps
+    assert g.blend_weights is g.blend_weights
+    for array in (g.arc_params, g.arc_steps, *g.blend_weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_trace_geometry_builds_no_solver(factorizations):
+    g = an.AnnulusGrid(9, 16)
+    psi = an.BoundaryTrace.from_callable(g, an.GAMMA_L, np.cos)
+    eta = an.eta_blend(g, 1.0, 2.0)
+    an.trace_inner(psi, psi)
+    an.trace_inner(eta, eta)
+    assert factorizations == []
+
+
+@given(st.sampled_from((an.AnnulusGrid(3, 8), *GRIDS)), st.data())
+def test_trace_inner_and_eta_blend_keep_their_arithmetic(g, data):
+    # bit for bit: np.trapezoid on arc_params, and the blend of cos^2(t/2)
+    # and sin^2(t/2) computed on every call
+    elements = st.floats(-1e3, 1e3)
+    u, v = (data.draw(hnp.arrays(float, g.n_half + 1, elements=elements)) for _ in range(2))
+    traces = [an.BoundaryTrace(g, an.GAMMA_L, w) for w in (u, v)]
+    assert_same_bits(an.trace_inner(*traces), np.trapezoid(u * v, g.arc_params))
+    a, b = data.draw(elements), data.draw(elements)
+    t = g.arc_params
+    assert_same_bits(an.eta_blend(g, a, b).values, a * np.cos(t / 2) ** 2 + b * np.sin(t / 2) ** 2)
 
 
 def test_boundary_trace_validation():
@@ -705,13 +747,15 @@ def test_fine_grid_solve_is_one_lu_solve_within_the_bound(monkeypatch):
 @pytest.mark.parametrize("error", [1e-9, 1e-6, 0.5])
 def test_solve_rejects_an_inaccurate_lu(error):
     # X's blocks scaled by 1 + error make every solve off by that
-    # relative error
+    # relative error, whichever halves of data it is given: Dirichlet
+    # only, flux only, or both
     g = an.AnnulusGrid(9, 16)
     solver = an.AnnulusBVPSolver(g)
     solver._x_i = solver._x_i * (1.0 + error)
     solver._x_c = solver._x_c * (1.0 + error)
-    with pytest.raises(RuntimeError, match="fails backward-error test"):
-        solver.solve(gamma_r=np.cos(g.arc_params))
+    for halves in (("gamma_r",), ("gamma_l",), ("gamma_r", "gamma_l")):
+        with pytest.raises(RuntimeError, match="fails backward-error test"):
+            solver.solve(**{half: np.cos(g.arc_params) for half in halves})
 
 
 def test_build_rejects_an_inaccurate_block_solve(monkeypatch):
@@ -1156,9 +1200,6 @@ def test_trace_operators_agree_with_the_finite_difference_scheme(g, data):
     assert np.max(dev) <= 1e-9 * np.max(scale)
 
 
-GRIDS = (an.AnnulusGrid(9, 16), an.AnnulusGrid(17, 64))
-
-
 def trace_norm(trace):
     return np.sqrt(an.trace_inner(trace, trace))
 
@@ -1215,3 +1256,30 @@ def test_solve_accepts_random_data(g, scale, data):
     ]
     u = an.grid_solver(g).solve(*halves)
     assert np.all(np.isfinite(u))
+
+
+def test_solve_multiplies_only_the_halves_it_is_given():
+    # with the other half's blocks gone, each one-half solve still runs
+    g = an.AnnulusGrid(9, 16)
+    data = np.cos(g.arc_params)
+    dirichlet_only = an.AnnulusBVPSolver(g)
+    dirichlet_only._x_i = None
+    flux_only = an.AnnulusBVPSolver(g)
+    flux_only._x_c = flux_only._coupling = None
+    solver = an.grid_solver(g)
+    np.testing.assert_array_equal(dirichlet_only.solve(gamma_r=data), solver.solve(gamma_r=data))
+    np.testing.assert_array_equal(flux_only.solve(gamma_l=data), solver.solve(gamma_l=data))
+
+
+@given(st.sampled_from(GRIDS), st.sampled_from(("gamma_r", "gamma_l")), st.data())
+def test_solve_with_one_half_omitted_is_the_two_product_formula(g, given_half, data):
+    # omitting a half multiplies nothing for it, and the trace is still
+    # X_I g_L - X_C u_R with zeros for that half, bit for bit
+    solver = an.grid_solver(g)
+    values = data.draw(hnp.arrays(float, g.n_half + 1, elements=st.floats(-1.0, 1.0)))
+    halves = {"gamma_r": np.zeros(g.n_half + 1), "gamma_l": np.zeros(g.n_half + 1)}
+    halves[given_half] = values
+    expected = np.zeros(g.n_theta)
+    expected[solver._r] = halves["gamma_r"]
+    expected[solver._l] = solver._x_i @ halves["gamma_l"][1:-1] - solver._x_c @ halves["gamma_r"]
+    assert_same_bits(solver.solve(**{given_half: values}), expected)
