@@ -257,7 +257,8 @@ class AnnulusBVPSolver:
         # a product, not a ratio, so zero data (x = 0) make no 0/0; below
         # the smallest normal number (tiny) rounding errors are absolute
         scale = self._norm * abs(x).max(axis=0) + abs(rhs).max(axis=0)
-        if (residual > BACKWARD_LIMIT * scale + _TINY).any():
+        # a NaN residual fails the test too
+        if not (residual <= BACKWARD_LIMIT * scale + _TINY).all():
             raise RuntimeError(
                 f"block residual {residual.max():.3e} fails backward-error test"
             )
@@ -266,13 +267,16 @@ class AnnulusBVPSolver:
         values = np.asarray(values, dtype=float)
         if values.shape != self._r.shape:
             raise ValueError(f"{segment} data needs {self._r.size} values, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{segment} data must be finite")
         return values
 
     def solve(self, gamma_r=None, gamma_l=None) -> np.ndarray:
         """Outer trace u at all n_theta angular nodes for Dirichlet values
         gamma_r and fluxes u_nu gamma_l, each at its half's nodes in arc
         order; omitted data are zero. Gamma_l's two contact values are
-        ignored, since gamma_r sets those nodes.
+        ignored, since gamma_r sets those nodes. Non-finite data are a
+        ValueError.
 
         u_L = X_I g_L - X_C u_R, accepted by the backward-error test
         against Lambda_LL u_L = g_L - Lambda_LR u_R. Only the given halves

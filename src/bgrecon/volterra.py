@@ -4,8 +4,9 @@
 
 with kernel k and a small nonlinearity weight nu. Also provides the
 discrete forward map at the measurement nodes t_i and the linearization
-dA. At the measurement nodes, A and dA are quadrature-weighted matrices
-over nodes x grid, and the adjoint of dA is the transpose of its matrix.
+dA. At the measurement nodes, dA and the quadratic term nu A1 are the
+only quadrature-weighted matrices over nodes x grid, Ax is
+dA(x)x - nu A1(x, x), and the adjoint of dA is the transpose of its matrix.
 """
 
 from __future__ import annotations
@@ -57,27 +58,23 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_kernel(
-    fmap: DiscreteForwardMap, x: SampledFunction, coef: float
-) -> np.ndarray:
-    """Matrix W * (k(t_i - s) + coef * x(t_i - s)) over nodes x grid."""
-    lags = fmap.lags
-    return _trapezoid_weights(fmap.op.grid.n) * (fmap.op.kernel(lags) + coef * x(lags))
-
-
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
-    """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i)."""
-    return _weighted_kernel(fmap, x0, 2 * fmap.op.nu)
+    """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i),
+    that is W * (k(t_i - s) + 2 nu x0(t_i - s)) over nodes x grid."""
+    lags = fmap.lags
+    op = fmap.op
+    return _trapezoid_weights(op.grid.n) * (op.kernel(lags) + 2 * op.nu * x0(lags))
 
 
 def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
-    """Data vector [Ax(t_i)] over the measurement nodes."""
-    return _weighted_kernel(fmap, x, fmap.op.nu) @ x.values
+    """Data vector [Ax(t_i)] over the measurement nodes, from Euler's
+    identity for the quadratic A: Ax = dA(x)x - nu * A1(x, x)."""
+    return linearization_matrix(fmap, x) @ x.values - quadratic_data(fmap, x)
 
 
 def quadratic_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     """Vector [nu * A1(x, x)(t_i)] over the measurement nodes, the
-    quadratic part of forward_data; Ax - dA(x)x = -nu * A1(x, x)."""
+    quadratic part of forward_data."""
     w = _trapezoid_weights(fmap.op.grid.n)
     return (w * (fmap.op.nu * x(fmap.lags))) @ x.values
 

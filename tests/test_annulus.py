@@ -221,6 +221,29 @@ def test_solve_rejects_wrong_length_data(data):
         solver.solve(**data)
 
 
+@pytest.mark.parametrize("half", ["gamma_r", "gamma_l"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("node", [0, 4], ids=["contact", "interior"])
+def test_solve_rejects_non_finite_data(half, bad, node):
+    # a non-finite value used to return a non-finite trace without an
+    # error; it is rejected also at a contact node, which gamma_l's data
+    # do not set
+    g = an.AnnulusGrid(9, 16)
+    data = np.cos(g.arc_params)
+    data[node] = bad
+    with pytest.raises(ValueError, match=f"{half} data must be finite"):
+        an.grid_solver(g).solve(**{half: data})
+
+
+def test_solve_rejects_a_nan_residual():
+    # finite flux data near the overflow threshold make an infinite trace
+    # and a NaN residual, which fails the backward-error test
+    g = an.AnnulusGrid(9, 16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="residual nan fails"):
+            an.grid_solver(g).solve(gamma_l=np.full(g.n_half + 1, 1e308))
+
+
 def test_constant_dirichlet_data_gives_constant_field():
     # the outer trace of the constant field
     g = an.AnnulusGrid(9, 32)

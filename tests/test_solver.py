@@ -2,14 +2,16 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bgrecon import annulus, volterra
+from bgrecon import annulus, solver
 from bgrecon.bspline import CubicBSplineBasis, delta_moments
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.solver import (
     AssembledSystem,
+    ErrorBudget,
     NearSingularSystemError,
     WeightVector,
     assemble_adjoint_system,
@@ -92,19 +94,21 @@ def test_constraint_row_is_the_linearization_remainder():
 
 
 def test_assembly_builds_the_weighted_kernel_once(monkeypatch):
-    # one linearization matrix serves the block; the constraint row is
-    # the quadratic term alone, not the difference A x0 - D x0
+    # one linearization matrix D serves the block; the constraint row is
+    # the quadratic term alone, so no forward data are computed
     grid, basis, op, fmap = make_setup(8, nu=0.1)
-    builds = []
-    weighted_kernel = volterra._weighted_kernel
+    calls = {"linearization_matrix": [], "forward_data": []}
+    for name, made in calls.items():
+        original = getattr(solver, name)
 
-    def counting(*args):
-        builds.append(args)
-        return weighted_kernel(*args)
+        def counting(*args, original=original, made=made):
+            made.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(volterra, "_weighted_kernel", counting)
+        monkeypatch.setattr(solver, name, counting)
     assemble_adjoint_system(op, basis, op.kernel, np.zeros(basis.size), fmap)
-    assert len(builds) == 1
+    assert len(calls["linearization_matrix"]) == 1
+    assert calls["forward_data"] == []
 
 
 def test_near_singular_block_is_rejected():
@@ -235,6 +239,48 @@ def test_error_budget_triangle_identity():
 
 
 @st.composite
+def spline_cases(draw):
+    """Kernel t at nu = 0 on N in [4, 200], two random spline
+    coefficient vectors in [-1, 1], two scalars and targets in [0, 1]
+    with t = 1 included."""
+    n = draw(st.integers(4, 200))
+    grid, basis, op, fmap = make_setup(n)
+    coeffs = hnp.arrays(float, n, elements=st.floats(-1.0, 1.0))
+    targets = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)) + [1.0]
+    scalars = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    return basis, op, fmap, draw(coeffs), draw(coeffs), scalars, targets
+
+
+@settings(max_examples=20)
+@given(spline_cases())
+def test_profile_is_exact_on_the_spline_subspace_up_to_rounding(case):
+    # at nu = 0 the data of a spline are D S^T c, and block phi = S(t0)
+    # makes phi . y the spline's value S(t0)^T c. Rounding in the weight
+    # solve scales as eps cond(block) max|c| (measured at most 1.2 times
+    # it for N <= 200), so 8 times that is the bound; a pinv perturbed
+    # by a relative 1e-3 exceeds it by a factor of 6.7e6 or more. The
+    # profile is linear in the data under a bound of the same form, and
+    # a repeat call gives the same bits.
+    basis, op, fmap, c1, c2, (a, b), targets = case
+    cond = assemble_adjoint_system(op, basis, op.kernel, np.zeros(basis.size), fmap).condition
+    bound = 8 * np.finfo(float).eps * cond
+
+    def data(c):
+        return forward_data(fmap, SampledFunction(op.grid, basis.eval_combination(c, op.grid.nodes)))
+
+    def profile(y):
+        return np.array([v for _, v in reconstruct_profile(op, basis, op.kernel, y, targets, fmap)])
+
+    p1 = profile(data(c1))
+    exact = basis.eval_combination(c1, np.asarray(targets))
+    assert np.max(np.abs(p1 - exact)) <= bound * np.max(np.abs(c1))
+    combined = profile(a * data(c1) + b * data(c2))
+    deviation = np.max(np.abs(combined - (a * p1 + b * profile(data(c2)))))
+    assert deviation <= bound * (abs(a) * np.max(np.abs(c1)) + abs(b) * np.max(np.abs(c2)))
+    assert reconstruct_profile(op, basis, op.kernel, data(c1), targets, fmap) == list(zip(targets, p1))
+
+
+@st.composite
 def linearization_remainders(draw):
     """Operator with a sampled kernel and weight nu, sampled x* and x0, and
     a weight vector over the measurement nodes."""
@@ -268,11 +314,69 @@ def test_linearization_remainder_is_exact(case):
     assert budget.linearization_term == pytest.approx(abs(w @ quadratic), rel=0, abs=1e-12)
 
 
-def test_error_budget_rejects_negative_terms():
-    from bgrecon.solver import ErrorBudget
+@given(linearization_remainders())
+def test_error_budget_nu_zero_terms_are_exactly_zero(case):
+    # both terms are products with the quadratic term nu A1, not
+    # differences of nearly equal vectors, so at nu = 0 they are 0
+    op, x_star, x0, w = case
+    linear = QuadraticVolterraOperator(op.kernel, 0.0)
+    y = np.zeros(w.size)
+    budget = error_budget(linear, x_star, x0, WeightVector(w), lambda f: 0.0, y, y)
+    assert budget.linearization_term == 0.0
+    assert budget.constraint_term == 0.0
 
-    with pytest.raises(ValueError):
+
+@st.composite
+def budget_cases(draw):
+    """Operator with kernel 1 + t and weight nu, random sampled x*, a
+    smooth x0 with |x0| <= 0.3 (so the linearization's kernel
+    1 + t + 2 nu x0 stays >= 0.4 and the block well conditioned), data
+    noise and a target."""
+    n = draw(st.integers(4, 30))
+    grid = UniformGrid(n)
+
+    def floats(bound, size):
+        return st.lists(st.floats(-bound, bound), min_size=size, max_size=size).map(np.asarray)
+
+    op = QuadraticVolterraOperator(SampledFunction(grid, 1.0 + grid.nodes), draw(st.floats(0.0, 1.0)))
+    x_star = SampledFunction(grid, draw(floats(1.0, n + 1)))
+    a = draw(floats(0.1, 3))
+    x0 = SampledFunction(grid, a[0] + a[1] * grid.nodes + a[2] * np.sin(3 * grid.nodes))
+    return op, x_star, x0, draw(floats(0.01, n)), draw(st.floats(0.1, 0.9))
+
+
+@given(budget_cases())
+def test_error_budget_bounds_the_reconstruction_error(case):
+    # mu(x*) - phi . y_eps is the sum of the four terms' signed values,
+    # so it is bounded by total up to rounding: every quantity is a dot
+    # product of at most N + 1 terms, so the slack is 2 (N + 2) eps
+    # times the scale S of the magnitudes involved (the measured excess
+    # was at most 0.42 eps S over 3000 random draws)
+    op, x_star, x0, noise, t0 = case
+    fmap = DiscreteForwardMap(op)
+    basis = CubicBSplineBasis(op.grid)
+    phi = solve_weights(assemble_adjoint_system(op, basis, x0, delta_moments(basis, t0), fmap))
+    y = forward_data(fmap, x_star)
+    y_eps = y + noise
+    mu = lambda f: float(f(t0))
+    budget = error_budget(op, x_star, x0, phi, mu, y, y_eps, fmap)
+    error = abs(mu(x_star) - reconstruct_value(phi, y_eps))
+    w = np.abs(phi.coefficients)
+    d = np.abs(linearization_matrix(fmap, x0))
+    scale = abs(mu(x_star)) + w @ (np.abs(y_eps) + d @ np.abs(x_star.values))
+    assert error <= budget.total + 2 * (op.grid.n + 2) * np.finfo(float).eps * scale
+
+
+def test_error_budget_rejects_negative_terms():
+    with pytest.raises(ValueError, match="constraint_term"):
+        ErrorBudget(0.0, 0.0, -1.0, 0.0)
+    with pytest.raises(ValueError, match="noise_term"):
         ErrorBudget(-1.0, 0.0, 0.0, 0.0)
+
+
+def test_error_budget_total_adds_the_terms_in_order():
+    # left to right: pairwise or right-to-left sums read 0.6000000000000001
+    assert ErrorBudget(0.1, 0.2, 0.3, 1e-16).total == ((0.1 + 0.2) + 0.3) + 1e-16
 
 
 # Each moment entry point that takes op and fmap, with data y of x and

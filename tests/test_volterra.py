@@ -430,6 +430,17 @@ def test_matrix_path_matches_scalar_reference(case):
     )
 
 
+@given(linearizations())
+def test_forward_data_is_the_linearization_at_nu_zero(case):
+    # Ax = dA(x)x - nu A1(x, x), and at nu = 0 the quadratic term is a
+    # vector of zeros, so the data are D x bit for bit
+    fmap, x, _ = case
+    linear = DiscreteForwardMap(QuadraticVolterraOperator(fmap.op.kernel, 0.0))
+    assert np.array_equal(
+        forward_data(linear, x), linearization_matrix(linear, x) @ x.values
+    )
+
+
 @given(linearizations(), st.data())
 def test_discrete_duality_is_exact(case, data):
     fmap, x, f = case
