@@ -8,7 +8,8 @@ Experiment ids: fig1 fig2 fig3 fig4 fig5 fig6 table1 hadamard.
 Config files are flat key=value text with the same keys as the flags;
 flags override the file. Only fig2 reads --n, --nu, --eps and --seed;
 setting one of them for another experiment is an error. N must lie in
-4..N_MAX (1000) and the seed must not be negative.
+4..N_MAX (1000) and the seed must not be negative. A run removes the
+old manifest.txt before it writes and writes one only if it succeeds.
 """
 
 from __future__ import annotations
@@ -36,24 +37,17 @@ from .grid import SampledFunction, UniformGrid, noise_direction
 from .hadamard import amplification_table
 from .solver import reconstruct_profile
 from .svgplot import emit_plot
-from .volterra import (
-    DiscreteForwardMap,
-    QuadraticVolterraOperator,
-    forward_data_exact,
-)
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "hadamard")
+from .volterra import QuadraticVolterraOperator, forward_data_exact
 
 EXIT_OK = 0
 EXIT_UNKNOWN_ID = 2
 EXIT_NUMERICAL = 3
 EXIT_UNWRITABLE = 4
 
-# Configuration parameters each experiment reads; the others fix them.
-PARAMETERS = ("n", "nu", "eps", "seed")
+# Parameters an experiment may read, with their types; the experiments
+# not in HONOURED fix their own. The flags and config keys add out.
+PARAMETERS = {"n": int, "nu": float, "eps": float, "seed": int}
 HONOURED = {"fig2": PARAMETERS}
-# How the manifest writes the float parameters; n and seed are integers.
-_FLOAT_FORMAT = {"nu": ".12g", "eps": ".12g"}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
 # (N = 25..400). fig2 at N = 1000 runs in 5.0-5.4 s and 154 MB on two
 # vCPUs; a much larger N would only fail to allocate its grid.
@@ -65,16 +59,14 @@ class ExperimentConfig:
     experiment: str
     n: int = 25
     nu: float = 0.0
-    eps: float | None = None
+    # fig2, the only experiment that reads eps, perturbs its data by 1 %
+    eps: float = 0.01
     seed: int = 1
     out: str = "."
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
-        if self.eps is None:
-            # fig2 perturbs its data by 1 % unless eps says otherwise
-            object.__setattr__(self, "eps", 0.01 if self.experiment == "fig2" else 0.0)
         if not 4 <= self.n <= N_MAX:
             raise ValueError(f"need 4 <= N <= {N_MAX}, got {self.n}")
         if self.seed < 0:
@@ -112,59 +104,47 @@ def x_sq(t):
 FIG_FUNCTIONS = (("x_a", x_a), ("x_b", x_b), ("x_c", x_c))
 
 
-def _moment_setup(n: int, nu: float):
-    """Grid, basis, operator with kernel x0(t) = t, and forward map."""
+def _reconstruct(fn, n, nu, targets, eps=0.0, seed=None, **exact):
+    """(t0, value) pairs at the targets on the N grid, for the operator
+    with kernel x0(t) = t linearized at x0, from forward_data_exact's data
+    for fn (options in exact) with seeded relative noise eps."""
     grid = UniformGrid(n)
-    kernel = SampledFunction(grid, grid.nodes.copy())
-    op = QuadraticVolterraOperator(kernel, nu)
-    return grid, CubicBSplineBasis(grid), op, DiscreteForwardMap(op)
-
-
-def _targets(grid: UniformGrid) -> np.ndarray:
-    """Grid nodes and interval midpoints, sorted."""
-    mids = (grid.nodes[:-1] + grid.nodes[1:]) / 2
-    return np.sort(np.concatenate([grid.nodes, mids]))
-
-
-def _error_at_half(n, fn):
-    # Convergence-study protocol: the direct problem is solved on a grid
-    # refined by a fixed factor relative to the reconstruction grid, so
-    # the whole pipeline is resolved at scale 1/n.
-    grid, basis, op, fmap = _moment_setup(n, 0.0)
-    y = forward_data_exact(op, fn, m=8 * n)
-    pairs = reconstruct_profile(op, basis, op.kernel, y, [0.5], fmap)
-    return abs(pairs[0][1] - fn(0.5))
+    op = QuadraticVolterraOperator(SampledFunction(grid, grid.nodes.copy()), nu)
+    y = forward_data_exact(op, fn, **exact)
+    if eps:
+        y = y + y * eps * noise_direction(y.shape, seed)
+    return reconstruct_profile(op, CubicBSplineBasis(grid), op.kernel, y, targets)
 
 
 # --- experiment runners -----------------------------------------------------
 
 
+def _field(v) -> str:
+    """One CSV or manifest field: a float as %.12g, anything else with str."""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
 def _write_csv(path: str, header: str, rows) -> None:
-    """Write one CSV artifact: the header line, then one line per row,
-    floats as %.12g and every other field with str."""
+    """Write one CSV artifact: the header line, then one line per row."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fields = (f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(map(_field, row)) + "\n")
 
 
-def _plot_reconstructions(out: str, plots) -> list[str]:
+def _plot_reconstructions(out: str, plots, eps=0.0, seed=None) -> list[str]:
     """Write one reconstruction CSV per curve and one SVG per plot, and
     return the paths in write order. plots holds (svg, curves) pairs; a
-    curve is (legend, file name, fn, N, nu) for exact data, or (legend,
-    file name, fn, N, nu, eps, seed) for data with relative noise eps.
-    Each SVG draws its curves' reconstructed values over t."""
+    curve is (legend, file name, fn, N, nu), reconstructed at the grid
+    nodes and interval midpoints from data with relative noise eps. Each
+    SVG draws its curves' reconstructed values over t."""
     files = []
     for svg, curves in plots:
         series = []
-        for legend, csv, fn, n, nu, *noise in curves:
-            grid, basis, op, fmap = _moment_setup(n, nu)
-            y = forward_data_exact(op, fn)
-            if noise and noise[0] > 0:
-                eps, seed = noise
-                y = y + y * eps * noise_direction(y.shape, seed)
-            pairs = reconstruct_profile(op, basis, op.kernel, y, _targets(grid), fmap)
+        for legend, csv, fn, n, nu in curves:
+            nodes = UniformGrid(n).nodes
+            targets = np.sort(np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2]))
+            pairs = _reconstruct(fn, n, nu, targets, eps, seed)
             path = os.path.join(out, csv)
             _write_csv(path, "t,reconstructed,truth", [(t, v, fn(t)) for t, v in pairs])
             files.append(path)
@@ -187,24 +167,29 @@ def _run_fig1(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_fig2(cfg: ExperimentConfig, out: str) -> list[str]:
-    noisy = (cfg.n, cfg.nu, cfg.eps, cfg.seed)
     plots = [
         (
             f"fig2_{name}.svg",
-            [(f"{name} noisy", f"fig2_{name}_N{cfg.n}.csv", fn, *noisy)],
+            [(f"{name} noisy", f"fig2_{name}_N{cfg.n}.csv", fn, cfg.n, cfg.nu)],
         )
         for name, fn in FIG_FUNCTIONS
     ]
-    return _plot_reconstructions(out, plots)
+    return _plot_reconstructions(out, plots, cfg.eps, cfg.seed)
 
 
-def fig3_errors(n_values=None):
-    """Error at t = 1/2 for x_lin2t(t) = 2t and the hat function x_b, per N."""
-    if n_values is None:
-        n_values = range(10, 51)
+def fig3_errors(n_values=range(10, 51)):
+    """Error at t = 1/2 for x_lin2t(t) = 2t and the hat function x_b, per N.
+
+    Convergence-study protocol: the exact data integrate on a grid refined
+    by a fixed factor (m = 8N) relative to the reconstruction grid, so the
+    whole pipeline is resolved at scale 1/N."""
     rows = []
     for n in n_values:
-        rows.append((n, _error_at_half(n, x_lin2t), _error_at_half(n, x_b)))
+        errors = [
+            abs(_reconstruct(fn, n, 0.0, [0.5], m=8 * n)[0][1] - fn(0.5))
+            for fn in (x_lin2t, x_b)
+        ]
+        rows.append((n, *errors))
     return rows
 
 
@@ -291,9 +276,7 @@ def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
     (125 to 20.9 in 100 steps at 33 x 128), and its residual stalls, so
     its iterate would contaminate both table columns."""
     grid = annulus.AnnulusGrid(n_r, n_theta)
-    psi_bar = annulus.BoundaryTrace(
-        grid, annulus.GAMMA_L, np.ones(grid.n_half + 1)
-    )
+    psi_bar = annulus.BoundaryTrace(grid, annulus.GAMMA_L, np.ones(grid.n_half + 1))
     mu = annulus.apply_A_sharp(grid, psi_bar)
     psi = annulus.solve_sentinel_equation(grid, mu)
     rows = []
@@ -355,12 +338,16 @@ def _sha256(path: str) -> str:
 
 def run_experiment(config: ExperimentConfig) -> int:
     out = config.out
+    manifest = os.path.join(out, "manifest.txt")
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write_probe")
         with open(probe, "w") as fh:
             fh.write("")
         os.remove(probe)
+        # a failed run must not leave an earlier run's manifest behind
+        if os.path.lexists(manifest):
+            os.remove(manifest)
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
@@ -374,11 +361,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    manifest = os.path.join(out, "manifest.txt")
     with open(manifest, "w", newline="") as fh:
         fh.write(f"experiment={config.experiment}\n")
         for key in HONOURED.get(config.experiment, ()):
-            fh.write(f"{key}={getattr(config, key):{_FLOAT_FORMAT.get(key, '')}}\n")
+            fh.write(f"{key}={_field(getattr(config, key))}\n")
         for path in files:
             fh.write(f"{os.path.basename(path)},{_sha256(path)}\n")
     return EXIT_OK
@@ -400,13 +386,12 @@ def build_config(argv) -> ExperimentConfig:
     parser = argparse.ArgumentParser(
         prog="bgrecon", description="Backus-Gilbert reconstruction experiments"
     )
-    parser.add_argument("experiment", help="one of: " + " ".join(EXPERIMENTS))
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--nu", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--config", default=None, help="flat key=value file")
+    parser.add_argument("experiment", help="one of: " + " ".join(_RUNNERS))
+    # every flag but --config is a config-file key, read with the same type
+    fields = {**PARAMETERS, "out": str}
+    for key, cast in fields.items():
+        parser.add_argument(f"--{key}", type=cast)
+    parser.add_argument("--config", help="flat key=value file")
     args = parser.parse_args(argv)
     cfg = ExperimentConfig(experiment=args.experiment)
     updates = {}
@@ -415,12 +400,11 @@ def build_config(argv) -> ExperimentConfig:
             file_vals = _load_config_file(args.config)
         except OSError as exc:
             raise ValueError(f"cannot read config file: {exc}") from exc
-        casts = {"n": int, "nu": float, "eps": float, "seed": int, "out": str}
-        unknown = sorted(set(file_vals) - set(casts))
+        unknown = sorted(set(file_vals) - set(fields))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        updates = {k: casts[k](v) for k, v in file_vals.items()}
-    for key in (*PARAMETERS, "out"):
+        updates = {k: fields[k](v) for k, v in file_vals.items()}
+    for key in fields:
         if getattr(args, key) is not None:
             updates[key] = getattr(args, key)
     honoured = HONOURED.get(cfg.experiment, ())

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bgrecon.cli import (
+    _RUNNERS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNKNOWN_ID,
@@ -101,6 +102,22 @@ def test_nonfinite_reconstruction_exits_numerical(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("error: numerical failure")
     assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path):
+    # the failing run overwrites the CSVs before it fails, so an earlier
+    # run's manifest would list checksums of files that are gone
+    assert main(["fig2", "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "manifest.txt").exists()
+    assert main(["fig2", "--eps", "1e306", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_manifest_that_cannot_be_removed_exits_unwritable(tmp_path, capsys):
+    (tmp_path / "manifest.txt").mkdir()
+    assert main(["hadamard", "--out", str(tmp_path)]) == EXIT_UNWRITABLE
+    assert capsys.readouterr().err.startswith("error: output directory not writable")
+    assert not (tmp_path / "hadamard.csv").exists()
 
 
 def test_numerical_failure_prints_only_the_error_line(tmp_path, capsys):
@@ -234,6 +251,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert cfg.nu == 0.25
     assert cfg.seed == 7
     assert cfg.out == str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("n", "30"), ("nu", "0.25"), ("eps", "0.02"), ("seed", "7"), ("out", "res")]
+)
+def test_flag_and_config_line_give_the_same_config(tmp_path, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={value}\n")
+    by_flag = build_config(["fig2", f"--{key}", value])
+    assert build_config(["fig2", "--config", str(cfg_file)]) == by_flag
+    assert by_flag != ExperimentConfig("fig2")
+
+
+def test_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert set(_RUNNERS) <= set(capsys.readouterr().out.split())
 
 
 def test_hadamard_run_writes_artifacts_and_manifest(tmp_path):

@@ -280,6 +280,25 @@ def test_profile_is_exact_on_the_spline_subspace_up_to_rounding(case):
     assert reconstruct_profile(op, basis, op.kernel, data(c1), targets, fmap) == list(zip(targets, p1))
 
 
+@pytest.mark.parametrize("n", [12, 25, 50])
+def test_averaging_kernel_is_centred_inside_and_biased_at_the_right_edge(n):
+    # The averaging kernel of target t0 is K = phi^T D over the grid: the
+    # reconstructed value is sum_j K_j x(t_j) at nu = 0. Measured for
+    # these N: at every node t0 <= 1 - h, mass and centroid are 1 and t0
+    # within 2.1e-12. No basis member is centred at t = 1, so there the
+    # kernel keeps mass 0.2113 with its centroid about 0.79 h inside.
+    grid, basis, op, fmap = make_setup(n)
+    t = grid.nodes
+    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, t), fmap)
+    kernels = solve_weights(system).coefficients.T @ linearization_matrix(fmap, op.kernel)
+    mass = kernels.sum(axis=1)
+    centroid = kernels @ t / mass
+    assert np.max(np.abs(mass[:-1] - 1)) <= 1e-11
+    assert np.max(np.abs(centroid[:-1] - t[:-1])) <= 1e-11
+    assert mass[-1] == pytest.approx(0.2113, abs=1e-4)
+    assert (1 - centroid[-1]) / grid.h == pytest.approx(0.7887, abs=1e-4)
+
+
 @st.composite
 def linearization_remainders(draw):
     """Operator with a sampled kernel and weight nu, sampled x* and x0, and
