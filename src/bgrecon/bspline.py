@@ -9,10 +9,11 @@ applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, _read_only
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,9 @@ class CubicBSplineBasis:
         return _scaled_bspline(t[None, :] - centers[:, None], self.grid.h)
 
     def node_values(self) -> np.ndarray:
-        """Matrix S[j, k] = S_j(t_k) over all grid nodes, shape (N, N+1)."""
-        return self.values(self.grid.nodes)
+        """Matrix S[j, k] = S_j(t_k) over all grid nodes, shape (N, N+1),
+        computed once per grid size and shared read-only."""
+        return _node_values(self.grid)
 
     def eval_combination(self, coeffs: np.ndarray, t):
         """Value of sum_j coeffs[j] * S_j at t."""
@@ -42,6 +44,13 @@ class CubicBSplineBasis:
         t = np.asarray(t, dtype=float)
         out = (coeffs @ self.values(t.ravel())).reshape(t.shape)
         return out if out.ndim else float(out)
+
+
+# Grid sizes whose node values are kept: a convergence sweep runs up to 49
+# sizes, and at N = 64 one matrix takes 33 kB.
+@lru_cache(maxsize=64)
+def _node_values(grid: UniformGrid) -> np.ndarray:
+    return _read_only(CubicBSplineBasis(grid).values(grid.nodes))
 
 
 def _scaled_bspline(u: np.ndarray, h: float) -> np.ndarray:

@@ -9,7 +9,9 @@ Config files are flat key=value text with the same keys as the flags;
 flags override the file. Only fig2 reads --n, --nu, --eps and --seed;
 setting one of them for another experiment is an error. N must lie in
 4..N_MAX (1000) and the seed must not be negative. A run removes the
-old manifest.txt before it writes and writes one only if it succeeds.
+old manifest.txt before it writes, writes its artifacts into a staging
+directory inside the output directory, and moves them there and writes
+a new manifest.txt only if it succeeds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import hashlib
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
 
@@ -49,8 +52,9 @@ EXIT_UNWRITABLE = 4
 PARAMETERS = {"n": int, "nu": float, "eps": float, "seed": int}
 HONOURED = {"fig2": PARAMETERS}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 5.0-5.4 s and 154 MB on two
-# vCPUs; a much larger N would only fail to allocate its grid.
+# (N = 25..400). fig2 at N = 1000 runs in 1.8-2.4 s and 177-181 MB on one
+# BLAS thread of a 2-vCPU host; a much larger N would only fail to
+# allocate its grid.
 N_MAX = 1000
 
 
@@ -104,16 +108,20 @@ def x_sq(t):
 FIG_FUNCTIONS = (("x_a", x_a), ("x_b", x_b), ("x_c", x_c))
 
 
-def _reconstruct(fn, n, nu, targets, eps=0.0, seed=None, **exact):
-    """(t0, value) pairs at the targets on the N grid, for the operator
-    with kernel x0(t) = t linearized at x0, from forward_data_exact's data
-    for fn (options in exact) with seeded relative noise eps."""
+def _reconstruct(fns, n, nu, targets, eps=0.0, seed=None, **exact):
+    """One list of (t0, value) pairs per function in fns, at the targets
+    on the N grid, from one weight system: the operator with kernel
+    x0(t) = t linearized at x0, applied to forward_data_exact's data for
+    each fn (options in exact) with seeded relative noise eps."""
     grid = UniformGrid(n)
     op = QuadraticVolterraOperator(SampledFunction(grid, grid.nodes.copy()), nu)
-    y = forward_data_exact(op, fn, **exact)
-    if eps:
-        y = y + y * eps * noise_direction(y.shape, seed)
-    return reconstruct_profile(op, CubicBSplineBasis(grid), op.kernel, y, targets)
+    rows = []
+    for fn in fns:
+        y = forward_data_exact(op, fn, **exact)
+        if eps:
+            y = y + y * eps * noise_direction(y.shape, seed)
+        rows.append(y)
+    return reconstruct_profile(op, CubicBSplineBasis(grid), op.kernel, np.array(rows), targets)
 
 
 # --- experiment runners -----------------------------------------------------
@@ -136,15 +144,25 @@ def _plot_reconstructions(out: str, plots, eps=0.0, seed=None) -> list[str]:
     """Write one reconstruction CSV per curve and one SVG per plot, and
     return the paths in write order. plots holds (svg, curves) pairs; a
     curve is (legend, file name, fn, N, nu), reconstructed at the grid
-    nodes and interval midpoints from data with relative noise eps. Each
-    SVG draws its curves' reconstructed values over t."""
+    nodes and interval midpoints from data with relative noise eps, with
+    one weight system for all curves of one (N, nu). Each SVG draws its
+    curves' reconstructed values over t."""
+    groups = {}
+    for _, curves in plots:
+        for curve in curves:
+            groups.setdefault(curve[3:], []).append(curve)
+    profiles = {}
+    for (n, nu), group in groups.items():
+        nodes = UniformGrid(n).nodes
+        targets = np.sort(np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2]))
+        fns = [fn for _, _, fn, _, _ in group]
+        for (_, csv, *_), pairs in zip(group, _reconstruct(fns, n, nu, targets, eps, seed)):
+            profiles[csv] = pairs
     files = []
     for svg, curves in plots:
         series = []
-        for legend, csv, fn, n, nu in curves:
-            nodes = UniformGrid(n).nodes
-            targets = np.sort(np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2]))
-            pairs = _reconstruct(fn, n, nu, targets, eps, seed)
+        for legend, csv, fn, _, _ in curves:
+            pairs = profiles[csv]
             path = os.path.join(out, csv)
             _write_csv(path, "t,reconstructed,truth", [(t, v, fn(t)) for t, v in pairs])
             files.append(path)
@@ -183,13 +201,11 @@ def fig3_errors(n_values=range(10, 51)):
     Convergence-study protocol: the exact data integrate on a grid refined
     by a fixed factor (m = 8N) relative to the reconstruction grid, so the
     whole pipeline is resolved at scale 1/N."""
+    fns = (x_lin2t, x_b)
     rows = []
     for n in n_values:
-        errors = [
-            abs(_reconstruct(fn, n, 0.0, [0.5], m=8 * n)[0][1] - fn(0.5))
-            for fn in (x_lin2t, x_b)
-        ]
-        rows.append((n, *errors))
+        profiles = _reconstruct(fns, n, 0.0, [0.5], m=8 * n)
+        rows.append((n, *(abs(p[0][1] - fn(0.5)) for fn, p in zip(fns, profiles))))
     return rows
 
 
@@ -337,14 +353,21 @@ def _sha256(path: str) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
+    # The runner writes into a staging directory inside out, whose
+    # creation is the write probe; its files move into out only when the
+    # run succeeds, and it is removed whatever the exit code.
+    staging = os.path.join(config.out, f".bgrecon-{os.getpid()}")
+    try:
+        return _run_staged(config, staging)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _run_staged(config: ExperimentConfig, staging: str) -> int:
     out = config.out
     manifest = os.path.join(out, "manifest.txt")
     try:
-        os.makedirs(out, exist_ok=True)
-        probe = os.path.join(out, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
+        os.makedirs(staging, exist_ok=True)
         # a failed run must not leave an earlier run's manifest behind
         if os.path.lexists(manifest):
             os.remove(manifest)
@@ -354,19 +377,22 @@ def run_experiment(config: ExperimentConfig) -> int:
     try:
         # overflow or NaN anywhere in a run is a numerical failure, not a warning
         with np.errstate(over="raise", invalid="raise"):
-            files = _RUNNERS[config.experiment](config, out)
+            files = _RUNNERS[config.experiment](config, staging)
+        names = [os.path.basename(path) for path in files]
+        for name in names:
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+        with open(manifest, "w", newline="") as fh:
+            fh.write(f"experiment={config.experiment}\n")
+            for key in HONOURED.get(config.experiment, ()):
+                fh.write(f"{key}={_field(getattr(config, key))}\n")
+            for name in names:
+                fh.write(f"{name},{_sha256(os.path.join(out, name))}\n")
     except OSError as exc:
         print(f"error: cannot write artifact: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    with open(manifest, "w", newline="") as fh:
-        fh.write(f"experiment={config.experiment}\n")
-        for key in HONOURED.get(config.experiment, ()):
-            fh.write(f"{key}={_field(getattr(config, key))}\n")
-        for path in files:
-            fh.write(f"{os.path.basename(path)},{_sha256(path)}\n")
     return EXIT_OK
 
 

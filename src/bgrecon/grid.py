@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -21,9 +27,10 @@ class UniformGrid:
     def h(self) -> float:
         return 1.0 / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) / self.n
+        """The n + 1 nodes, computed on first use and cached read-only."""
+        return _read_only(np.arange(self.n + 1) / self.n)
 
 
 @dataclass(frozen=True, eq=False)

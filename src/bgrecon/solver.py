@@ -131,27 +131,38 @@ def reconstruct_profile(
     y_data: np.ndarray,
     targets: Sequence[float],
     fmap: DiscreteForwardMap | None = None,
-) -> list[tuple[float, float]]:
-    """Reconstructed values <delta(t0-.), x> for each target t0.
+) -> list:
+    """Reconstructed values <delta(t0-.), x> for each target t0, as a
+    list of (t0, value) pairs; for a K x N batch y_data of K data rows,
+    a list of K such lists.
 
     The weight system does not depend on the data or on the target, so
-    the matrix is assembled and pseudo-inverted once, and the data row
-    y^T pinv is applied to the (N+1) x T matrix of all right-hand sides
-    at once. Raises FloatingPointError if any value is not finite.
+    the matrix is assembled and pseudo-inverted once for all targets and
+    all rows, and each row's y^T pinv is applied to the (N+1) x T matrix
+    of all right-hand sides at once. Row k of a batch takes the same
+    products as a call on that row alone, so its values are the same
+    floats. Raises FloatingPointError if any value is not finite.
     """
     targets = list(targets)
+    rows = np.asarray(y_data, dtype=float)
+    if rows.ndim not in (1, 2):
+        raise ValueError(f"expected one data row or a batch of rows, got shape {rows.shape}")
     if not targets:
-        return []
+        return [[] for _ in rows] if rows.ndim == 2 else []
     moments = delta_moments(basis, np.asarray(targets, dtype=float))
     system = assemble_adjoint_system(op, basis, x0, moments, fmap)
-    data_row = np.asarray(y_data, dtype=float) @ np.linalg.pinv(system.matrix)
-    # phi_t . y = (y^T pinv) rhs_t. cumsum adds the rows strictly in
-    # order (np.sum and matmul group them by shape), so a target's value
-    # does not depend on the other targets in the call.
-    values = np.cumsum(data_row[:, None] * system.rhs, axis=0)[-1]
-    if not np.isfinite(values).all():
-        raise FloatingPointError("reconstructed values are not finite")
-    return [(t0, float(v)) for t0, v in zip(targets, values)]
+    inverse = np.linalg.pinv(system.matrix)
+    profiles = []
+    for y in np.atleast_2d(rows):
+        data_row = y @ inverse
+        # phi_t . y = (y^T pinv) rhs_t. cumsum adds the rows strictly in
+        # order (np.sum and matmul group them by shape), so a target's
+        # value does not depend on the other targets in the call.
+        values = np.cumsum(data_row[:, None] * system.rhs, axis=0)[-1]
+        if not np.isfinite(values).all():
+            raise FloatingPointError("reconstructed values are not finite")
+        profiles.append([(t0, float(v)) for t0, v in zip(targets, values)])
+    return profiles if rows.ndim == 2 else profiles[0]
 
 
 def iterative_refinement(

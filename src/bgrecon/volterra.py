@@ -12,11 +12,12 @@ dA(x)x - nu A1(x, x), and the adjoint of dA is the transpose of its matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 # quad_weighted_integral is not called here; bench/tracing.py patches this name.
-from .grid import SampledFunction, UniformGrid, quad_weighted_integral
+from .grid import SampledFunction, UniformGrid, _read_only, quad_weighted_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,27 +44,34 @@ class DiscreteForwardMap:
     def __post_init__(self):
         object.__setattr__(self, "nodes", self.op.grid.nodes[1:])
 
-    @property
+    @cached_property
     def lags(self) -> np.ndarray:
-        """Matrix t_i - s_k over measurement nodes x grid nodes."""
-        return self.nodes[:, None] - self.op.grid.nodes[None, :]
+        """Matrix t_i - s_k over measurement nodes x grid nodes, computed
+        on first use and cached read-only."""
+        return _read_only(self.nodes[:, None] - self.op.grid.nodes[None, :])
 
 
+# Grid sizes whose weights are kept, as for bspline's node values.
+@lru_cache(maxsize=64)
 def _trapezoid_weights(n: int) -> np.ndarray:
     """Weights W[i - 1, k] of grid node s_k in the trapezoid rule on the
     grid cells of [0, t_i], t_i = i / N, i = 1 ... N: h inside, h / 2 at
-    both ends and 0 beyond t_i."""
+    both ends and 0 beyond t_i. Computed once per N and shared read-only."""
     w = (np.tri(n, n + 1, 1) - 0.5 * np.eye(n, n + 1, 1)) / n
     w[:, 0] *= 0.5
-    return w
+    return _read_only(w)
 
 
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
     """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i),
-    that is W * (k(t_i - s) + 2 nu x0(t_i - s)) over nodes x grid."""
+    that is W * (k(t_i - s) + 2 nu x0(t_i - s)) over nodes x grid. At
+    nu = 0 the second term, which would add only zeros, is skipped."""
     lags = fmap.lags
     op = fmap.op
-    return _trapezoid_weights(op.grid.n) * (op.kernel(lags) + 2 * op.nu * x0(lags))
+    kernel = op.kernel(lags)
+    if op.nu:
+        kernel += 2 * op.nu * x0(lags)
+    return _trapezoid_weights(op.grid.n) * kernel
 
 
 def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
@@ -74,9 +82,12 @@ def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
 
 def quadratic_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     """Vector [nu * A1(x, x)(t_i)] over the measurement nodes, the
-    quadratic part of forward_data."""
-    w = _trapezoid_weights(fmap.op.grid.n)
-    return (w * (fmap.op.nu * x(fmap.lags))) @ x.values
+    quadratic part of forward_data; exact zeros at nu = 0, where x is
+    not read."""
+    op = fmap.op
+    if not op.nu:
+        return np.zeros(op.grid.n)
+    return (_trapezoid_weights(op.grid.n) * (op.nu * x(fmap.lags))) @ x.values
 
 
 # Dense points per block of forward_data_exact: the block's few arrays
@@ -131,7 +142,8 @@ def forward_data_exact(
 
     Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
     node when m + 1 exceeds it); each block makes one kernel
-    interpolation, one integrand and one trapezoid call.
+    interpolation, one integrand and one trapezoid call. At nu = 0 the
+    integrand has no quadratic term.
     """
     if m < 1:
         raise ValueError(f"need at least one dense subinterval, got m={m}")
@@ -153,8 +165,10 @@ def forward_data_exact(
         keys = i_all[block, None] * k
         s = keys / nm
         x = table[keys]
-        x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
-        integrand = op.kernel(t[:, None] - s) * x + op.nu * x_rev * x
+        integrand = op.kernel(t[:, None] - s) * x
+        if op.nu:
+            x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid
+            integrand += op.nu * x_rev * x
         out[block] = np.trapezoid(integrand, s, axis=-1)
     return out
 

@@ -119,3 +119,12 @@ def test_values_match_closed_form_whatever_the_shape(n, points):
         np.testing.assert_allclose(mat[j], spline(basis, j, t), rtol=0, atol=1e-14)
     for k, point in enumerate(points):
         assert np.array_equal(mat[:, k], basis.values(np.array([point]))[:, 0])
+
+
+def test_node_values_are_shared_read_only_per_grid_size():
+    # every basis on an N grid reads one matrix, the one values() gives
+    first = CubicBSplineBasis(UniformGrid(11)).node_values()
+    assert CubicBSplineBasis(UniformGrid(11)).node_values() is first
+    assert not first.flags.writeable
+    basis = CubicBSplineBasis(UniformGrid(11))
+    assert np.array_equal(first, basis.values(basis.grid.nodes))

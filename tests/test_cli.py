@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bgrecon import cli, solver
 from bgrecon.cli import (
     _RUNNERS,
     EXIT_NUMERICAL,
@@ -105,12 +106,46 @@ def test_nonfinite_reconstruction_exits_numerical(tmp_path, capsys):
 
 
 def test_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path):
-    # the failing run overwrites the CSVs before it fails, so an earlier
-    # run's manifest would list checksums of files that are gone
+    # a run removes an earlier run's manifest before it starts, so a
+    # failing run leaves none
     assert main(["fig2", "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "manifest.txt").exists()
     assert main(["fig2", "--eps", "1e306", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert not (tmp_path / "manifest.txt").exists()
+
+
+def _artifacts(out):
+    """Bytes of every file in out but the manifest, by name; a staging
+    directory left behind fails the check."""
+    assert not list(out.glob(".bgrecon-*"))
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"}
+
+
+def test_failed_run_leaves_the_earlier_artifacts_as_they_were(tmp_path):
+    assert main(["fig2", "--out", str(tmp_path)]) == EXIT_OK
+    before = _artifacts(tmp_path)
+    assert main(["fig2", "--eps", "1e306", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert _artifacts(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "error, code", [(OSError, EXIT_UNWRITABLE), (FloatingPointError, EXIT_NUMERICAL)]
+)
+def test_run_failing_after_its_first_artifacts_leaves_the_directory_as_it_was(
+    tmp_path, monkeypatch, error, code
+):
+    # the failing run has written its first CSV and SVG when it fails
+    assert main(["fig2", "--out", str(tmp_path)]) == EXIT_OK
+    before = _artifacts(tmp_path)
+
+    def emit_then_fail(series, path):
+        emit_plot(series, path)
+        raise error("after the first plot")
+
+    emit_plot = cli.emit_plot
+    monkeypatch.setattr(cli, "emit_plot", emit_then_fail)
+    assert main(["fig2", "--eps", "0.02", "--out", str(tmp_path)]) == code
+    assert _artifacts(tmp_path) == before
 
 
 def test_manifest_that_cannot_be_removed_exits_unwritable(tmp_path, capsys):
@@ -206,6 +241,24 @@ def test_table1_writes_the_tsvd_spectrum(tmp_path):
     assert kept == [int(float(r[2]) > 1e-8) for r in rows]
     # the two contact columns are zero, so at least two values are cut
     assert 0 < sum(kept) <= 63
+
+
+@pytest.mark.parametrize(
+    "experiment, systems", [("fig1", 2), ("fig2", 1), ("fig3", 41), ("fig4", 3), ("fig5", 1)]
+)
+def test_moment_figures_build_one_weight_system_per_n_and_nu(
+    tmp_path, monkeypatch, experiment, systems
+):
+    calls = []
+    assemble = solver.assemble_adjoint_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_adjoint_system", counting)
+    assert main([experiment, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == systems
 
 
 def test_main_unknown_experiment_exit_code():

@@ -15,6 +15,13 @@ def test_grid_nodes_and_spacing():
     np.testing.assert_allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_grid_nodes_are_cached_read_only():
+    grid = UniformGrid(6)
+    assert grid.nodes is grid.nodes
+    assert not grid.nodes.flags.writeable
+    np.testing.assert_array_equal(grid.nodes, np.arange(7) / 6)
+
+
 def test_grid_rejects_nonpositive_count():
     with pytest.raises(ValueError):
         UniformGrid(0)

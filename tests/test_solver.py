@@ -222,6 +222,30 @@ def test_profile_value_independent_of_other_targets(targets, cut, nu):
     assert whole == parts
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(4, 24),
+    st.integers(1, 4),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.sampled_from([0.0, 0.05]),
+    st.data(),
+)
+def test_batch_rows_equal_single_calls_bit_for_bit(n, k, targets, nu, data):
+    # the figures reconstruct every curve of one (N, nu) from one batch;
+    # row k must give exactly the floats of a call on that row alone
+    grid, basis, op, fmap = make_setup(n, nu)
+    rows = data.draw(hnp.arrays(float, (k, n), elements=st.floats(-1.0, 1.0)))
+    batch = reconstruct_profile(op, basis, op.kernel, rows, targets, fmap)
+    assert batch == [reconstruct_profile(op, basis, op.kernel, y, targets, fmap) for y in rows]
+
+
+def test_batch_of_no_targets_is_one_empty_profile_per_row():
+    grid, basis, op, fmap = make_setup(6)
+    assert reconstruct_profile(op, basis, op.kernel, np.ones((3, 6)), [], fmap) == [[], [], []]
+    with pytest.raises(ValueError):
+        reconstruct_profile(op, basis, op.kernel, np.ones((1, 3, 6)), [0.5], fmap)
+
+
 def test_error_budget_triangle_identity():
     grid, basis, op, fmap = make_setup(12, nu=0.05)
     x0 = op.kernel

@@ -197,6 +197,17 @@ def test_forward_data_exact_matches_loop_bit_for_bit(x_fn, m):
     )
 
 
+@pytest.mark.parametrize("x_fn", [x_a, x_b, x_c, x_sq])
+@pytest.mark.parametrize("m", [8 * 16, 4096])
+def test_forward_data_exact_at_nu_zero_matches_loop_bit_for_bit(x_fn, m):
+    # at nu = 0 the blocks skip the quadratic integrand, which the loop
+    # still adds as 0 * x_rev * x
+    op = make_op(16, nu=0.0)
+    assert np.array_equal(
+        forward_data_exact(op, x_fn, m=m), _forward_data_exact_loop(op, x_fn, m=m)
+    )
+
+
 @pytest.mark.parametrize("x_fn", [x_a, x_c])
 @pytest.mark.parametrize("n, m", [(1, 8), (8, 64), (32, 4096), (64, 4096)])
 def test_forward_data_exact_keeps_linspace_points_where_n_m_is_dyadic(x_fn, n, m):
@@ -439,6 +450,39 @@ def test_forward_data_is_the_linearization_at_nu_zero(case):
     assert np.array_equal(
         forward_data(linear, x), linearization_matrix(linear, x) @ x.values
     )
+
+
+@given(linearizations())
+def test_linearization_at_nu_zero_is_the_full_formula(case):
+    # at nu = 0 linearization_matrix skips 2 nu x0(lags), a term of zeros
+    fmap, x, _ = case
+    linear = DiscreteForwardMap(QuadraticVolterraOperator(fmap.op.kernel, 0.0))
+    lags = linear.lags
+    full = volterra._trapezoid_weights(linear.op.grid.n) * (
+        linear.op.kernel(lags) + 2 * linear.op.nu * x(lags)
+    )
+    assert np.array_equal(linearization_matrix(linear, x), full)
+
+
+def test_quadratic_data_at_nu_zero_does_not_read_x():
+    fmap = DiscreteForwardMap(make_op(12, nu=0.0))
+    x = mock.Mock(side_effect=AssertionError("x evaluated"))
+    data = volterra.quadratic_data(fmap, x)
+    assert np.array_equal(data, np.zeros(12)) and not np.signbit(data).any()
+    assert x.mock_calls == []
+    assert "lags" not in vars(fmap)
+
+
+def test_per_grid_arrays_are_cached_read_only():
+    fmap = DiscreteForwardMap(make_op(9, nu=0.2))
+    for first, again in [
+        (fmap.lags, fmap.lags),
+        (volterra._trapezoid_weights(9), volterra._trapezoid_weights(9)),
+    ]:
+        assert first is again
+        assert not first.flags.writeable
+    # the products built from them are the caller's own
+    assert linearization_matrix(fmap, fmap.op.kernel).flags.writeable
 
 
 @given(linearizations(), st.data())
