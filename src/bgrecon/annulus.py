@@ -36,16 +36,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .grid import _read_only
+
 R_INNER = 0.5
 R_OUTER = 1.0
 
 GAMMA_R = "gamma_r"
 GAMMA_L = "gamma_l"
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +33,12 @@ class CubicBSplineBasis:
 
     def node_values(self) -> np.ndarray:
         """Matrix S[j, k] = S_j(t_k) over all grid nodes, shape (N, N+1),
-        computed once per grid size and shared read-only."""
-        return _node_values(self.grid)
+        computed on first use and cached read-only."""
+        return self._node_matrix
+
+    @cached_property
+    def _node_matrix(self) -> np.ndarray:
+        return _read_only(self.values(self.grid.nodes))
 
     def eval_combination(self, coeffs: np.ndarray, t):
         """Value of sum_j coeffs[j] * S_j at t."""
@@ -44,13 +48,6 @@ class CubicBSplineBasis:
         t = np.asarray(t, dtype=float)
         out = (coeffs @ self.values(t.ravel())).reshape(t.shape)
         return out if out.ndim else float(out)
-
-
-# Grid sizes whose node values are kept: a convergence sweep runs up to 49
-# sizes, and at N = 64 one matrix takes 33 kB.
-@lru_cache(maxsize=64)
-def _node_values(grid: UniformGrid) -> np.ndarray:
-    return _read_only(CubicBSplineBasis(grid).values(grid.nodes))
 
 
 def _scaled_bspline(u: np.ndarray, h: float) -> np.ndarray:
@@ -87,7 +84,7 @@ def interpolate(basis: CubicBSplineBasis, samples: SampledFunction) -> np.ndarra
     if samples.grid.n != basis.grid.n:
         raise ValueError("samples must live on the basis grid")
     n = basis.size
-    mat = basis.values(basis.grid.nodes[:n]).T
+    mat = basis.node_values()[:, :n].T
     coeffs = np.linalg.solve(mat, samples.values[:n])
     residual = np.max(np.abs(mat @ coeffs - samples.values[:n]))
     if residual > 1e-10 * (1.0 + np.max(np.abs(samples.values))):

@@ -52,7 +52,7 @@ EXIT_UNWRITABLE = 4
 PARAMETERS = {"n": int, "nu": float, "eps": float, "seed": int}
 HONOURED = {"fig2": PARAMETERS}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 1.8-2.4 s and 177-181 MB on one
+# (N = 25..400). fig2 at N = 1000 runs in 1.8-2.4 s and 177 MB on one
 # BLAS thread of a 2-vCPU host; a much larger N would only fail to
 # allocate its grid.
 N_MAX = 1000

@@ -1,4 +1,5 @@
-"""Uniform grids on [0,1], trapezoid quadrature and seeded noise directions."""
+"""Uniform grids on [0,1], each owning its read-only nodes and trapezoid
+weights, trapezoid quadrature and seeded noise directions."""
 
 from __future__ import annotations
 
@@ -31,6 +32,15 @@ class UniformGrid:
     def nodes(self) -> np.ndarray:
         """The n + 1 nodes, computed on first use and cached read-only."""
         return _read_only(np.arange(self.n + 1) / self.n)
+
+    @cached_property
+    def trapezoid_weights(self) -> np.ndarray:
+        """Weights W[i - 1, k] of node s_k in the trapezoid rule on the
+        grid cells of [0, t_i], i = 1 ... n: h inside, h / 2 at both ends
+        and 0 beyond t_i. Computed on first use and cached read-only."""
+        w = (np.tri(self.n, self.n + 1, 1) - 0.5 * np.eye(self.n, self.n + 1, 1)) / self.n
+        w[:, 0] *= 0.5
+        return _read_only(w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,8 +145,9 @@ def reconstruct_profile(
     """
     targets = list(targets)
     rows = np.asarray(y_data, dtype=float)
-    if rows.ndim not in (1, 2):
-        raise ValueError(f"expected one data row or a batch of rows, got shape {rows.shape}")
+    n = op.grid.n
+    if rows.ndim not in (1, 2) or rows.shape[-1] != n:
+        raise ValueError(f"expected data of shape ({n},) or (K, {n}), got shape {rows.shape}")
     if not targets:
         return [[] for _ in rows] if rows.ndim == 2 else []
     moments = delta_moments(basis, np.asarray(targets, dtype=float))
@@ -178,6 +179,8 @@ def iterative_refinement(
     interpolant of the previous round's nodal values."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if np.shape(y_data) != (op.grid.n,):
+        raise ValueError(f"expected data of shape ({op.grid.n},), got shape {np.shape(y_data)}")
     fmap = _forward_map(op, fmap)
     grid = op.grid
     nodes = grid.nodes
@@ -202,7 +205,7 @@ def iterative_refinement(
             break
         prev_vals = node_vals
         coeffs = interpolate(basis, SampledFunction(grid, node_vals))
-        x0 = SampledFunction(grid, basis.eval_combination(coeffs, nodes))
+        x0 = SampledFunction(grid, coeffs @ basis.node_values())
     return profiles
 
 

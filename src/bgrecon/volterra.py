@@ -11,8 +11,8 @@ dA(x)x - nu A1(x, x), and the adjoint of dA is the transpose of its matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,27 +39,16 @@ class DiscreteForwardMap:
     """Point evaluation of Ax at the measurement nodes t_i = i/N, i=1..N."""
 
     op: QuadraticVolterraOperator
-    nodes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", self.op.grid.nodes[1:])
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.op.grid.nodes[1:]
 
     @cached_property
     def lags(self) -> np.ndarray:
         """Matrix t_i - s_k over measurement nodes x grid nodes, computed
         on first use and cached read-only."""
         return _read_only(self.nodes[:, None] - self.op.grid.nodes[None, :])
-
-
-# Grid sizes whose weights are kept, as for bspline's node values.
-@lru_cache(maxsize=64)
-def _trapezoid_weights(n: int) -> np.ndarray:
-    """Weights W[i - 1, k] of grid node s_k in the trapezoid rule on the
-    grid cells of [0, t_i], t_i = i / N, i = 1 ... N: h inside, h / 2 at
-    both ends and 0 beyond t_i. Computed once per N and shared read-only."""
-    w = (np.tri(n, n + 1, 1) - 0.5 * np.eye(n, n + 1, 1)) / n
-    w[:, 0] *= 0.5
-    return _read_only(w)
 
 
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
@@ -71,7 +60,7 @@ def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.nd
     kernel = op.kernel(lags)
     if op.nu:
         kernel += 2 * op.nu * x0(lags)
-    return _trapezoid_weights(op.grid.n) * kernel
+    return op.grid.trapezoid_weights * kernel
 
 
 def forward_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
@@ -87,7 +76,7 @@ def quadratic_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     op = fmap.op
     if not op.nu:
         return np.zeros(op.grid.n)
-    return (_trapezoid_weights(op.grid.n) * (op.nu * x(fmap.lags))) @ x.values
+    return (op.grid.trapezoid_weights * (op.nu * x(fmap.lags))) @ x.values
 
 
 # Dense points per block of forward_data_exact: the block's few arrays

@@ -121,10 +121,10 @@ def test_values_match_closed_form_whatever_the_shape(n, points):
         assert np.array_equal(mat[:, k], basis.values(np.array([point]))[:, 0])
 
 
-def test_node_values_are_shared_read_only_per_grid_size():
-    # every basis on an N grid reads one matrix, the one values() gives
-    first = CubicBSplineBasis(UniformGrid(11)).node_values()
-    assert CubicBSplineBasis(UniformGrid(11)).node_values() is first
-    assert not first.flags.writeable
+def test_node_values_are_cached_read_only_per_basis():
+    # a basis computes its node values once, the matrix values() gives
     basis = CubicBSplineBasis(UniformGrid(11))
+    first = basis.node_values()
+    assert basis.node_values() is first
+    assert not first.flags.writeable
     assert np.array_equal(first, basis.values(basis.grid.nodes))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bgrecon import annulus, solver
-from bgrecon.bspline import CubicBSplineBasis, delta_moments
+from bgrecon.bspline import CubicBSplineBasis, delta_moments, interpolate
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.solver import (
     AssembledSystem,
@@ -304,6 +304,11 @@ def test_profile_is_exact_on_the_spline_subspace_up_to_rounding(case):
     assert reconstruct_profile(op, basis, op.kernel, data(c1), targets, fmap) == list(zip(targets, p1))
 
 
+# Largest |mass - 1| of the averaging kernels at the interval midpoints
+# in [0.1, 0.9], per N: measured 0.0736, 0.0197 and 3.8e-4.
+MIDPOINT_MASS_DEFECT = {12: 0.08, 25: 0.02, 50: 5e-4}
+
+
 @pytest.mark.parametrize("n", [12, 25, 50])
 def test_averaging_kernel_is_centred_inside_and_biased_at_the_right_edge(n):
     # The averaging kernel of target t0 is K = phi^T D over the grid: the
@@ -311,16 +316,73 @@ def test_averaging_kernel_is_centred_inside_and_biased_at_the_right_edge(n):
     # these N: at every node t0 <= 1 - h, mass and centroid are 1 and t0
     # within 2.1e-12. No basis member is centred at t = 1, so there the
     # kernel keeps mass 0.2113 with its centroid about 0.79 h inside.
+    # Midpoints are not exact: inside [0.1, 0.9] the mass is off by up to
+    # MIDPOINT_MASS_DEFECT and the centroid by up to 0.103 h, and at the
+    # last midpoint 1 - h/2 the mass is 0.6269 with the centroid at
+    # 1 - 0.8308 h, at every N.
     grid, basis, op, fmap = make_setup(n)
     t = grid.nodes
-    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, t), fmap)
+    mids = t[:-1] + grid.h / 2
+    targets = np.concatenate([t, mids])
+    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, targets), fmap)
     kernels = solve_weights(system).coefficients.T @ linearization_matrix(fmap, op.kernel)
     mass = kernels.sum(axis=1)
     centroid = kernels @ t / mass
-    assert np.max(np.abs(mass[:-1] - 1)) <= 1e-11
-    assert np.max(np.abs(centroid[:-1] - t[:-1])) <= 1e-11
-    assert mass[-1] == pytest.approx(0.2113, abs=1e-4)
-    assert (1 - centroid[-1]) / grid.h == pytest.approx(0.7887, abs=1e-4)
+    edge = t.size - 1  # the target t = 1
+    assert np.max(np.abs(mass[:edge] - 1)) <= 1e-11
+    assert np.max(np.abs(centroid[:edge] - t[:-1])) <= 1e-11
+    assert mass[edge] == pytest.approx(0.2113, abs=1e-4)
+    assert (1 - centroid[edge]) / grid.h == pytest.approx(0.7887, abs=1e-4)
+    inside = t.size + np.flatnonzero((mids >= 0.1) & (mids <= 0.9))
+    assert np.max(np.abs(mass[inside] - 1)) <= MIDPOINT_MASS_DEFECT[n]
+    assert np.max(np.abs(centroid[inside] - targets[inside])) <= 0.11 * grid.h
+    assert mass[-1] == pytest.approx(0.6269, abs=1e-4)
+    assert (1 - centroid[-1]) / grid.h == pytest.approx(0.8308, abs=1e-4)
+
+
+def _x_b(t):
+    return np.where(t <= 0.5, 2 * t, 2 - 2 * t)
+
+
+# Test functions with their data at nu = 0 under the kernel t, in closed
+# form, and their Lipschitz constants on [0, 1]
+CLOSED_FORM_CASES = {
+    "x_sq": (lambda t: t * t, lambda t: t**4 / 12, 2.0),
+    "x_b": (_x_b, lambda t: t**3 / 3 - 2 / 3 * np.maximum(t - 0.5, 0) ** 3, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [24, 48, 96])
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_exact_data_error_is_model_error_at_nodes_and_bounded_spread_at_midpoints(case, n):
+    # With exact data y, the error phi . y - x*(t0) is the model term
+    # phi . (y - D x*), from the trapezoid forward model, plus the spread
+    # K . x* - x*(t0) of the averaging kernel K = phi^T D. At grid nodes
+    # K is delta to rounding, so the error is the model term within
+    # 8 eps cond(block) max|x*| (measured at most 0.13 of that). At
+    # midpoints the spread obeys the a priori bound
+    # Lip(x*) sum_k |K_k| |s_k - t0| + |1 - sum K| |x*(t0)|, since
+    # K . x* - x*(t0) = sum_k K_k (x*(s_k) - x*(t0)) + (sum K - 1) x*(t0)
+    # (measured at most 0.19 of it).
+    x, y, lipschitz = CLOSED_FORM_CASES[case]
+    grid, basis, op, fmap = make_setup(n)
+    t = grid.nodes
+    nodes = t[(t >= 0.1) & (t <= 0.9)]
+    mids = t[:-1] + grid.h / 2
+    mids = mids[(mids >= 0.1) & (mids <= 0.9)]
+    data = y(fmap.nodes)
+    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, nodes), fmap)
+    d = linearization_matrix(fmap, op.kernel)
+    model = solve_weights(system).coefficients.T @ (data - d @ x(t))
+    values = np.array([v for _, v in reconstruct_profile(op, basis, op.kernel, data, nodes, fmap)])
+    scale = 8 * np.finfo(float).eps * system.condition * np.max(np.abs(x(t)))
+    assert np.max(np.abs(np.abs(values - x(nodes)) - np.abs(model))) <= scale
+    system = assemble_adjoint_system(op, basis, op.kernel, delta_moments(basis, mids), fmap)
+    kernels = solve_weights(system).coefficients.T @ d
+    spread = np.abs(kernels @ x(t) - x(mids))
+    bound = lipschitz * np.sum(np.abs(kernels) * np.abs(t - mids[:, None]), axis=1)
+    bound += np.abs(1 - kernels.sum(axis=1)) * np.abs(x(mids))
+    assert np.all(spread <= bound)
 
 
 @st.composite
@@ -454,6 +516,16 @@ def test_moment_entry_points_reject_a_map_of_another_operator(entry):
         call(DiscreteForwardMap(other))
 
 
+def test_moment_data_of_the_wrong_shape_is_a_value_error_naming_the_shape():
+    grid, basis, op, fmap = make_setup(8)
+    with pytest.raises(ValueError, match=r"shape \(8,\) or \(K, 8\), got shape \(7,\)"):
+        reconstruct_profile(op, basis, op.kernel, np.zeros(7), [0.5], fmap)
+    with pytest.raises(ValueError, match=r"got shape \(3, 9\)"):
+        reconstruct_profile(op, basis, op.kernel, np.zeros((3, 9)), [0.5], fmap)
+    with pytest.raises(ValueError, match=r"shape \(8,\), got shape \(2, 8\)"):
+        iterative_refinement(op, basis, op.kernel, np.zeros((2, 8)), [0.5], 1, fmap)
+
+
 def test_iterative_refinement_rejects_bad_rounds():
     grid, basis, op, fmap = make_setup(8)
     with pytest.raises(ValueError):
@@ -469,6 +541,37 @@ def test_iterative_refinement_stationary_for_linear_case():
     profiles = iterative_refinement(op, basis, op.kernel, y, [0.5], 2, fmap)
     assert len(profiles) == 2
     assert profiles[0][0][1] == pytest.approx(profiles[1][0][1], abs=1e-7)
+
+
+def _refinement_from_fresh_spline_values(op, basis, x0, y, targets, rounds):
+    """iterative_refinement with its collocation matrix and its re-sampling
+    evaluated afresh by basis.values at the grid nodes."""
+    nodes = op.grid.nodes
+    n = basis.size
+    profiles, prev_vals = [], None
+    for _ in range(rounds):
+        pairs = reconstruct_profile(op, basis, x0, y, [*nodes, *targets])
+        node_vals = np.asarray([v for _, v in pairs[: nodes.size]])
+        profiles.append(pairs[nodes.size :])
+        if prev_vals is not None and np.max(np.abs(node_vals - prev_vals)) < 1e-8:
+            break
+        prev_vals = node_vals
+        coeffs = np.linalg.solve(basis.values(nodes[:n]).T, node_vals[:n])
+        assert np.array_equal(interpolate(basis, SampledFunction(op.grid, node_vals)), coeffs)
+        x0 = SampledFunction(op.grid, coeffs @ basis.values(nodes))
+    return profiles
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.1])
+@pytest.mark.parametrize("n", [8, 25, 32])
+def test_refinement_reads_the_basis_node_values_bit_for_bit(n, nu):
+    # interpolate and the re-linearization read the basis's cached node
+    # values; they give the floats of fresh evaluations
+    grid, basis, op, fmap = make_setup(n, nu)
+    y = forward_data(fmap, SampledFunction.from_callable(grid, lambda t: t * t))
+    targets = [0.25, 0.5, 0.75]
+    profiles = iterative_refinement(op, basis, op.kernel, y, targets, 3, fmap)
+    assert profiles == _refinement_from_fresh_spline_values(op, basis, op.kernel, y, targets, 3)
 
 
 def _annulus_trace():

@@ -458,7 +458,7 @@ def test_linearization_at_nu_zero_is_the_full_formula(case):
     fmap, x, _ = case
     linear = DiscreteForwardMap(QuadraticVolterraOperator(fmap.op.kernel, 0.0))
     lags = linear.lags
-    full = volterra._trapezoid_weights(linear.op.grid.n) * (
+    full = linear.op.grid.trapezoid_weights * (
         linear.op.kernel(lags) + 2 * linear.op.nu * x(lags)
     )
     assert np.array_equal(linearization_matrix(linear, x), full)
@@ -475,14 +475,33 @@ def test_quadratic_data_at_nu_zero_does_not_read_x():
 
 def test_per_grid_arrays_are_cached_read_only():
     fmap = DiscreteForwardMap(make_op(9, nu=0.2))
+    grid = fmap.op.grid
     for first, again in [
         (fmap.lags, fmap.lags),
-        (volterra._trapezoid_weights(9), volterra._trapezoid_weights(9)),
+        (grid.trapezoid_weights, grid.trapezoid_weights),
     ]:
         assert first is again
         assert not first.flags.writeable
     # the products built from them are the caller's own
     assert linearization_matrix(fmap, fmap.op.kernel).flags.writeable
+
+
+def test_operators_on_one_grid_multiply_by_its_one_trapezoid_weights():
+    # both weighted matrices of every operator on a grid read the grid's
+    # cached W: with W replaced by a marker they are products with it
+    grid = UniformGrid(9)
+    marker = np.arange(90.0).reshape(grid.trapezoid_weights.shape)
+    vars(grid)["trapezoid_weights"] = marker
+    x = SampledFunction(grid, np.cos(grid.nodes))
+    for kernel, nu in [(grid.nodes.copy(), 0.0), (np.ones(10), 0.3)]:
+        fmap = DiscreteForwardMap(QuadraticVolterraOperator(SampledFunction(grid, kernel), nu))
+        lags = fmap.lags
+        assert np.array_equal(
+            linearization_matrix(fmap, x), marker * (fmap.op.kernel(lags) + 2 * nu * x(lags))
+        )
+        assert np.array_equal(
+            volterra.quadratic_data(fmap, x), (marker * (nu * x(lags))) @ x.values
+        )
 
 
 @given(linearizations(), st.data())
