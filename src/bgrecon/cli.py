@@ -52,7 +52,7 @@ EXIT_UNWRITABLE = 4
 PARAMETERS = {"n": int, "nu": float, "eps": float, "seed": int}
 HONOURED = {"fig2": PARAMETERS}
 # Largest N a run accepts: 2.5 times the top of the performance sweep
-# (N = 25..400). fig2 at N = 1000 runs in 1.8-2.4 s and 177 MB on one
+# (N = 25..400). fig2 at N = 1000 runs in 1.3-1.5 s and 176 MB on one
 # BLAS thread of a 2-vCPU host; a much larger N would only fail to
 # allocate its grid.
 N_MAX = 1000
@@ -83,17 +83,20 @@ class ExperimentConfig:
 
 # --- test functions from the moment-problem experiments ---------------------
 
+# Each is elementwise: it takes a float or a float64 array, so
+# forward_data_exact evaluates it with one array call per block.
+
 
 def x_a(t):
-    return t / 2 if t <= 0.5 else t - 0.25
+    return np.where(t <= 0.5, t / 2, t - 0.25)
 
 
 def x_b(t):
-    return 2 * t if t <= 0.5 else 2 - 2 * t
+    return np.where(t <= 0.5, 2 * t, 2 - 2 * t)
 
 
 def x_c(t):
-    return 1.0 if 0.25 <= t <= 0.75 else 0.0
+    return np.where((0.25 <= t) & (t <= 0.75), 1.0, 0.0)
 
 
 def x_lin2t(t):
@@ -163,8 +166,9 @@ def _plot_reconstructions(out: str, plots, eps=0.0, seed=None) -> list[str]:
         series = []
         for legend, csv, fn, _, _ in curves:
             pairs = profiles[csv]
+            truth = fn(np.array([t for t, _ in pairs])).tolist()
             path = os.path.join(out, csv)
-            _write_csv(path, "t,reconstructed,truth", [(t, v, fn(t)) for t, v in pairs])
+            _write_csv(path, "t,reconstructed,truth", [(*p, x) for p, x in zip(pairs, truth)])
             files.append(path)
             series.append((legend, *zip(*pairs)))
         path = os.path.join(out, svg)

@@ -100,6 +100,26 @@ def _key_table(x_fn, n: int, m: int) -> np.ndarray:
     return table
 
 
+def _array_values(x_fn, s: np.ndarray, first: bool) -> np.ndarray | None:
+    """x_fn(s) on one block's float64 array of dense points s, if it is a
+    float64 ndarray of s's shape. On the first block, None if x_fn raises
+    TypeError or ValueError or returns anything else; on a later block
+    such an exception propagates, and any other result is a ValueError."""
+    try:
+        x = x_fn(s)
+    except (TypeError, ValueError):
+        if first:
+            return None
+        raise
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == s.shape:
+        return x
+    if first:
+        return None
+    raise ValueError(
+        f"x_fn took the first block as an array but returned {type(x).__name__} for a later one"
+    )
+
+
 def forward_data_exact(
     op: QuadraticVolterraOperator,
     x_fn,
@@ -115,25 +135,40 @@ def forward_data_exact(
     method rather than data/assembly consistency.
 
     The nodes are the measurement nodes t_i = i / N, i = 1 ... N, of the
-    operator's grid (N = op.grid.n): nodes is None or equal to them, and
-    N * m < 2**53. Any other input is a ValueError, raised before x_fn is
-    called. Node t_i takes the dense points s_k = fl(k * i / (N * m)),
-    k = 0 ... m, one correctly rounded division of the exact integers
-    k * i (the keys) and N * m, so s_{m-k} is the rounded reflection of
-    the exact point; where N * m is a power of two they are
-    np.linspace(0, t_i, m + 1) bit for bit.
+    operator's grid (N = op.grid.n): nodes is None or equal to them, m is
+    an int (not a bool) of at least 1 and N * m < 2**53. Any other input
+    is a ValueError, raised before x_fn is called. Node t_i takes the
+    dense points s_k = fl(k * i / (N * m)), k = 0 ... m, one correctly
+    rounded division of the exact integers k * i (the keys) and N * m, so
+    s_{m-k} is the rounded reflection of the exact point; where N * m is
+    a power of two they are np.linspace(0, t_i, m + 1) bit for bit.
 
-    x_fn is a pure scalar callable float -> float. It is called with
-    Python floats, which round exactly as numpy.float64 does and are
-    several times cheaper in scalar code, in unspecified order: once per
-    distinct key k * i, through a key table of N * m + 1 entries, so
-    never twice with the same argument.
+    x_fn is a pure callable. Nodes are taken in blocks of at most
+    _BLOCK_POINTS dense points (one node when m + 1 exceeds it), and x_fn
+    is first called once, on the first block's float64 array of dense
+    points:
+    - if it returns a float64 ndarray of that shape, x_fn is an array
+      callable: each block takes its values from one such call, and no
+      key table is built. An exception from a later block propagates, and
+      a later result of another kind is a ValueError;
+    - if it raises TypeError or ValueError, or returns anything else (a
+      list, a 0-d array, a Python float, float32, another shape), x_fn is
+      a scalar callable float -> float. It is then called with Python
+      floats, which round exactly as numpy.float64 does and are several
+      times cheaper in scalar code, in unspecified order: once per
+      distinct key k * i, through a key table of N * m + 1 entries, so
+      never twice with the same argument;
+    - any other exception propagates.
+    An elementwise x_fn gives the same data on both paths when its array
+    call gives the same floats as its scalar calls do, as +, -, *, /,
+    abs, comparisons and np.where do; numpy's vectorised sin or exp need
+    not round as a scalar call does.
 
-    Nodes are taken in blocks of at most _BLOCK_POINTS dense points (one
-    node when m + 1 exceeds it); each block makes one kernel
-    interpolation, one integrand and one trapezoid call. At nu = 0 the
-    integrand has no quadratic term.
+    Each block makes one kernel interpolation, one integrand and one
+    trapezoid call. At nu = 0 the integrand has no quadratic term.
     """
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"need an int number of dense subintervals, got m={m!r}")
     if m < 1:
         raise ValueError(f"need at least one dense subinterval, got m={m}")
     n = op.grid.n
@@ -142,18 +177,23 @@ def forward_data_exact(
     t_all = op.grid.nodes[1:]
     if nodes is not None and not np.array_equal(nodes, t_all):
         raise ValueError(f"nodes must be None or the measurement nodes i/{n}, i = 1..{n}")
-    table = _key_table(x_fn, n, m)
     nm = float(n * m)
     i_all = np.arange(1, n + 1)
     k = np.arange(m + 1)
     out = np.zeros(n)
     rows = max(1, _BLOCK_POINTS // (m + 1))
+    table = None
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         t = t_all[block]
         keys = i_all[block, None] * k
         s = keys / nm
-        x = table[keys]
+        if table is None:
+            x = _array_values(x_fn, s, first=not start)
+            if x is None:
+                table = _key_table(x_fn, n, m)
+        if table is not None:
+            x = table[keys]
         integrand = op.kernel(t[:, None] - s) * x
         if op.nu:
             x_rev = x[:, ::-1]  # x(t - s) on the symmetric dense grid

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrecon import volterra
-from bgrecon.cli import x_a, x_b, x_c, x_sq
+from bgrecon.cli import x_a, x_b, x_c, x_lin2t, x_sq
 from bgrecon.grid import SampledFunction, UniformGrid, quad_weighted_integral
 from bgrecon.volterra import (
     DiscreteForwardMap,
@@ -164,10 +165,13 @@ def test_forward_data_exact_takes_the_measurement_nodes_in_any_form():
     assert np.array_equal(forward_data_exact(op, x_b, fmap.nodes.tolist(), m=64), y)
 
 
+@cache
 def _dense_points(n, i, m):
     """The node t_i = i / n's dense points fl(k * i / (n * m)),
-    k = 0 ... m."""
-    return np.array([float(Fraction(k * i, n * m)) for k in range(m + 1)])
+    k = 0 ... m, read-only and computed once per (n, i, m)."""
+    points = np.array([float(Fraction(k * i, n * m)) for k in range(m + 1)])
+    points.flags.writeable = False
+    return points
 
 
 def _linspace_points(n, i, m):
@@ -259,16 +263,29 @@ def _expected_calls(op, m):
     return len(set().union(*(range(0, m * i + 1, i) for i in range(1, n + 1))))
 
 
-def _check_calls(op, x_fn, nodes, m):
-    """forward_data_exact equals the loop oracle bit for bit, calls x_fn
-    with Python floats as often as expected and never twice with one
-    argument, and fills a key table of N * m + 1 entries; returns the
-    call count."""
+def _raise(exc):
+    def refuse(t):
+        raise exc("no arrays")
+
+    return refuse
+
+
+def _check_calls(op, x_fn, nodes, m, on_array=_raise(TypeError)):
+    """On the scalar path, forward_data_exact equals the loop oracle bit
+    for bit, calls x_fn with Python floats as often as expected and never
+    twice with one argument, and fills a key table of N * m + 1 entries;
+    returns the call count. The counted callable answers the one trial
+    call, on an array, with on_array: by default a TypeError, as a
+    scalar-only callable does. That call is not counted."""
     args = []
+    trials = []
     tables = []
     key_table = volterra._key_table
 
     def counted(t):
+        if isinstance(t, np.ndarray):
+            trials.append(t)
+            return on_array(t)
         args.append(t)
         return x_fn(t)
 
@@ -283,6 +300,7 @@ def _check_calls(op, x_fn, nodes, m):
     assert len(set(args)) == len(args)
     assert all(type(t) is float for t in args)
     assert [len(table) for table in tables] == [op.grid.n * m + 1]
+    assert len(trials) == 1
     return len(args)
 
 
@@ -373,6 +391,166 @@ def test_forward_data_exact_calls_x_with_python_floats(n, m, calls):
 def test_forward_data_exact_key_table_edges(n, m, calls):
     op = make_op(n, nu=0.3)
     assert _check_calls(op, x_b, None, m) == calls
+
+
+def _sweep_kink(t):
+    # the shape of the moment_sweep workload's data, a + b t + c |t - 1/2|
+    return 0.3 - 0.7 * t + 1.1 * abs(t - 0.5)
+
+
+def _where_piecewise_linear(seed):
+    """Seeded continuous piecewise-linear function with two kinks in
+    [0.2, 0.8], written elementwise with np.where."""
+    rng = np.random.default_rng(seed)
+    k1, k2 = np.sort(rng.uniform(0.2, 0.8, 2)).tolist()
+    v0, v1, v2, v3 = rng.uniform(0.75, 1.25, 4).tolist()
+    s0, s1, s2 = (v1 - v0) / k1, (v2 - v1) / (k2 - k1), (v3 - v2) / (1.0 - k2)
+
+    def x_fn(t):
+        return np.where(
+            t < k1, v0 + s0 * t, np.where(t < k2, v1 + s1 * (t - k1), v2 + s2 * (t - k2))
+        )
+
+    return x_fn
+
+
+def _blocks(n, m):
+    """Row counts of forward_data_exact's blocks."""
+    rows = max(1, volterra._BLOCK_POINTS // (m + 1))
+    return [min(rows, n - start) for start in range(0, n, rows)]
+
+
+def _check_array_calls(op, x_fn, m):
+    """On the array path, forward_data_exact calls x_fn once per block,
+    each time on a float64 array of the block's dense points, and builds
+    no key table; returns the data."""
+    args = []
+
+    def counted(t):
+        args.append(t)
+        return x_fn(t)
+
+    with mock.patch.object(volterra, "_key_table", side_effect=AssertionError):
+        y = forward_data_exact(op, counted, m=m)
+    n = op.grid.n
+    assert [type(t) for t in args] == [np.ndarray] * len(args)
+    assert all(t.dtype == np.float64 for t in args)
+    assert [t.shape for t in args] == [(rows, m + 1) for rows in _blocks(n, m)]
+    points = [_dense_points(n, i, m) for i in range(1, n + 1)]
+    assert np.array_equal(np.concatenate(args), points)
+    return y
+
+
+ARRAY_CALLABLES = {
+    "x_sq": x_sq,
+    "x_lin2t": x_lin2t,
+    "sweep-kink": _sweep_kink,
+    "where-seed7": _where_piecewise_linear(7),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CALLABLES)
+@pytest.mark.parametrize("n", [1, 8, 12, 37, 60, 64])
+@pytest.mark.parametrize("m", ["8N", 4096])
+def test_forward_data_exact_array_path_matches_loop_bit_for_bit(name, n, m):
+    # the oracle hands x_fn one numpy.float64 at a time; it evaluates each
+    # point once, for all three nu
+    x_fn = ARRAY_CALLABLES[name]
+    m = 8 * n if m == "8N" else m
+    scalar = cache(x_fn)
+    for nu in (0.0, 0.01, 1.0):
+        op = make_op(n, nu=nu)
+        assert np.array_equal(
+            _check_array_calls(op, x_fn, m), _forward_data_exact_loop(op, scalar, m=m)
+        )
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n, m", [(12, 96), (32, 4096), (60, 480)])
+def test_forward_data_exact_array_path_matches_scalar_path(seed, n, m):
+    # the same np.where function through one array call per block and,
+    # refusing arrays, through the key table
+    x_fn = _where_piecewise_linear(seed)
+
+    def scalar_only(t):
+        if isinstance(t, np.ndarray):
+            raise TypeError("scalar callable")
+        return x_fn(t)
+
+    op = make_op(n, nu=0.01)
+    y = _check_array_calls(op, x_fn, m)
+    assert np.array_equal(y, forward_data_exact(op, scalar_only, m=m))
+
+
+# what the first, trial call may do instead of returning a float64 array
+# of its argument's shape; each sends forward_data_exact to the key table
+NOT_ARRAY_RESULTS = {
+    "TypeError": _raise(TypeError),
+    "ValueError": _raise(ValueError),
+    "list": lambda t: x_sq(t).tolist(),
+    "0-d array": lambda t: np.array(0.5),
+    "python-float": lambda t: 0.5,
+    "float32": lambda t: x_sq(t).astype(np.float32),
+    "wrong-shape": lambda t: x_sq(t).T,
+}
+
+
+@pytest.mark.parametrize("result", NOT_ARRAY_RESULTS)
+@pytest.mark.parametrize("n, m", [(1, 64), (12, 96), (40, 320)])
+def test_forward_data_exact_falls_back_to_the_key_table(result, n, m):
+    # with one node the transposed block would broadcast; it is refused
+    op = make_op(n, nu=0.3)
+    _check_calls(op, x_sq, None, m, on_array=NOT_ARRAY_RESULTS[result])
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, RuntimeError])
+def test_forward_data_exact_propagates_other_errors_of_the_trial_call(exc):
+    calls = []
+
+    def x_fn(t):
+        calls.append(t)
+        raise exc("broken")
+
+    with mock.patch.object(volterra, "_key_table") as table:
+        with pytest.raises(exc):
+            forward_data_exact(make_op(12, nu=0.3), x_fn, m=96)
+    table.assert_not_called()
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+
+@pytest.mark.parametrize(
+    "later, error",
+    [
+        (_raise(TypeError), TypeError),
+        (_raise(ValueError), ValueError),
+        (_raise(RuntimeError), RuntimeError),
+        (lambda t: x_sq(t).tolist(), ValueError),
+        (lambda t: x_sq(t).T, ValueError),
+    ],
+    ids=["TypeError", "ValueError", "RuntimeError", "list", "wrong-shape"],
+)
+def test_forward_data_exact_propagates_errors_of_later_blocks(later, error):
+    # at m = 320 the 40 nodes fall in two blocks; the second call fails
+    calls = []
+
+    def x_fn(t):
+        calls.append(t)
+        return x_sq(t) if len(calls) == 1 else later(t)
+
+    assert _blocks(40, 320) == [25, 15]
+    with mock.patch.object(volterra, "_key_table") as table:
+        with pytest.raises(error):
+            forward_data_exact(make_op(40, nu=0.3), x_fn, m=320)
+    table.assert_not_called()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m", [4096.0, True, False, np.int64(64), "64", None])
+def test_forward_data_exact_rejects_an_m_that_is_not_an_int(m):
+    calls = []
+    with pytest.raises(ValueError):
+        forward_data_exact(make_op(8), lambda t: calls.append(t) or t, m=m)
+    assert calls == []
 
 
 def test_linearization_uses_doubled_quadratic_term():
