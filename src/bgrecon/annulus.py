@@ -32,11 +32,11 @@ length, the outer radius being 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .grid import _read_only
+from .grid import _is_count, _read_only
 
 R_INNER = 0.5
 R_OUTER = 1.0
@@ -51,10 +51,10 @@ class AnnulusGrid:
     n_theta: int
 
     def __post_init__(self):
-        if self.n_r < 3:
-            raise ValueError(f"need n_r >= 3, got {self.n_r}")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise ValueError(f"need even n_theta >= 8, got {self.n_theta}")
+        if not _is_count(self.n_r, 3):
+            raise ValueError(f"need an integer n_r >= 3, got {self.n_r}")
+        if not _is_count(self.n_theta, 8) or self.n_theta % 2:
+            raise ValueError(f"need an even integer n_theta >= 8, got {self.n_theta}")
 
     @property
     def dr(self) -> float:
@@ -77,8 +77,8 @@ class AnnulusGrid:
     def n_half(self) -> int:
         return self.n_theta // 2
 
-    # Per-grid geometry below is computed on first use and cached
-    # read-only on the grid, so a grid that never asks for it pays nothing.
+    # Per-grid geometry and the solver below are computed on first use and
+    # cached read-only on the grid, so a grid that never asks pays nothing.
 
     @cached_property
     def arc_params(self) -> np.ndarray:
@@ -105,6 +105,12 @@ class AnnulusGrid:
         if segment == GAMMA_L:
             return (-np.arange(self.n_half + 1)) % self.n_theta
         raise ValueError(f"unknown outer half {segment!r}")
+
+    @cached_property
+    def solver(self) -> AnnulusBVPSolver:
+        """The grid's solver: Lambda and its block solve do not depend on
+        the data, so a grid object builds one, on first use."""
+        return AnnulusBVPSolver(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +170,8 @@ class AnnulusBVPSolver:
     outer operator is a product with its blocks, so a solve is at most two
     matrix-vector products, one per half of data it is given.
 
-    The solver owns every per-grid operator: the flux-to-trace matrix F
+    A grid builds its one solver on first use (AnnulusGrid.solver), and
+    the solver owns every per-grid operator: the flux-to-trace matrix F
     (flux_to_trace), its truncated SVD (tsvd) and the Kozlov-Maz'ya step
     matrix (step_matrix), all read-only."""
 
@@ -304,22 +311,15 @@ class AnnulusBVPSolver:
         return self._dtn @ u
 
 
-@lru_cache(maxsize=8)
-def grid_solver(grid: AnnulusGrid) -> AnnulusBVPSolver:
-    """The solver for a grid. Lambda and its block solve do not depend on
-    the data, so each grid's solver is built once per process and shared."""
-    return AnnulusBVPSolver(grid)
-
-
 def _solver_for(grid: AnnulusGrid, trace: BoundaryTrace, segment: str) -> AnnulusBVPSolver:
-    """grid_solver(grid), once trace is checked to lie on that outer half
-    of that grid; a trace of another half or another grid is ValueError."""
+    """grid.solver, once trace is checked to lie on that outer half of an
+    equal grid; a trace of another half or another grid is ValueError."""
     if trace.segment != segment or trace.grid != grid:
         raise ValueError(
             f"need a {segment} trace on the {grid.n_r} x {grid.n_theta} grid, got a "
             f"{trace.segment} trace on the {trace.grid.n_r} x {trace.grid.n_theta} grid"
         )
-    return grid_solver(grid)
+    return grid.solver
 
 
 def apply_A(grid: AnnulusGrid, phi: BoundaryTrace) -> BoundaryTrace:
@@ -423,7 +423,7 @@ def kozlov_mazya_solve(
     Dirichlet trace g_k there; step (ii) solves with g_k and the Cauchy
     data -mu, and reads off the updated eta_{k+1}. Both steps are linear
     in the data, so from eta_0 = 0 the iteration is the affine map
-    eta_{k+1} = M eta_k[1:-1] - F mu, with the grid solver's cached step
+    eta_{k+1} = M eta_k[1:-1] - F mu, with grid.solver's cached step
     matrix M (step_matrix), and makes no solve.
 
     residuals[k] = ||A_sharp(eta_k) + mu||_inf = ||F eta_k + mu||_inf. The
@@ -441,9 +441,9 @@ def kozlov_mazya_solve(
     but not in the residual, and slow on F's near-null modes, so it
     stalls on consistent data too.
     """
+    if not _is_count(max_iter, 0):
+        raise ValueError(f"need an integer max_iter >= 0, got {max_iter}")
     solver = _solver_for(grid, mu, GAMMA_R)
-    if max_iter < 0:
-        raise ValueError(f"need max_iter >= 0, got {max_iter}")
     flux_to_trace = solver.flux_to_trace
     n = grid.n_half + 1
     # A block row is (eta_k, 1). The step [M | 0 | -F mu] maps its last n

@@ -284,9 +284,10 @@ def _run_fig6(cfg: ExperimentConfig, out: str) -> list[str]:
 TABLE1_GRID = (33, 128)
 
 
-def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
+def table1_rows(grid: annulus.AnnulusGrid | None = None):
     """Rows (name, <mu,phi>, <psi,f>, corrected, relative error) for the
-    two direct-problem traces.
+    two direct-problem traces on grid, by default a new TABLE1_GRID grid;
+    every operator is read from grid.solver.
 
     psi comes from the truncated-SVD solve of -A_sharp(psi) = mu. The
     alternating iteration (fig6) is of Landweber type: its step matrix is
@@ -295,7 +296,8 @@ def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
     null space. It lowers the error energy in every step, but slowly
     (125 to 20.9 in 100 steps at 33 x 128), and its residual stalls, so
     its iterate would contaminate both table columns."""
-    grid = annulus.AnnulusGrid(n_r, n_theta)
+    if grid is None:
+        grid = annulus.AnnulusGrid(*TABLE1_GRID)
     psi_bar = annulus.BoundaryTrace(grid, annulus.GAMMA_L, np.ones(grid.n_half + 1))
     mu = annulus.apply_A_sharp(grid, psi_bar)
     psi = annulus.solve_sentinel_equation(grid, mu)
@@ -316,11 +318,10 @@ def table1_rows(n_r: int = TABLE1_GRID[0], n_theta: int = TABLE1_GRID[1]):
 
 
 def _run_table1(cfg: ExperimentConfig, out: str) -> list[str]:
-    rows = table1_rows()
+    grid = annulus.AnnulusGrid(*TABLE1_GRID)
     path = os.path.join(out, "table1.csv")
-    _write_csv(path, "phi,mu_phi,psi_f,corrected,relative_error", rows)
-    # the spectrum behind psi: table1_rows filled the cache for this grid
-    sigma, _, kept, _ = annulus.grid_solver(annulus.AnnulusGrid(*TABLE1_GRID)).tsvd
+    _write_csv(path, "phi,mu_phi,psi_f,corrected,relative_error", table1_rows(grid))
+    sigma, _, kept, _ = grid.solver.tsvd  # the spectrum behind psi
     spath = os.path.join(out, "table1_tsvd.csv")
     _write_csv(
         spath,

@@ -1,8 +1,9 @@
-"""Uniform grids on [0,1], each owning its read-only nodes and trapezoid
-weights, trapezoid quadrature and seeded noise directions."""
+"""Uniform grids on [0,1], each owning its read-only nodes, trapezoid
+weights and lags, trapezoid quadrature and seeded noise directions."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,6 +15,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether value is an integer no smaller than least (numpy integers
+    included, through operator.index); a float, NaN included, is not."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n."""
@@ -21,8 +31,8 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"subinterval count must be positive, got {self.n}")
+        if not _is_count(self.n, 1):
+            raise ValueError(f"subinterval count must be a positive integer, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -41,6 +51,12 @@ class UniformGrid:
         w = (np.tri(self.n, self.n + 1, 1) - 0.5 * np.eye(self.n, self.n + 1, 1)) / self.n
         w[:, 0] *= 0.5
         return _read_only(w)
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """Matrix t_i - s_k over the measurement nodes t_i, i = 1 ... n,
+        and the nodes s_k. Computed on first use and cached read-only."""
+        return _read_only(self.nodes[1:, None] - self.nodes[None, :])
 
 
 @dataclass(frozen=True, eq=False)

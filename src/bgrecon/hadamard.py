@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 
+from .grid import _is_count
+
 
 def _check_k(k: int) -> None:
-    if k < 1:
+    if not _is_count(k, 1):
         raise ValueError(f"frequency must be a positive integer, got {k}")
 
 
@@ -46,8 +48,8 @@ def amplification_table(k_max: int) -> list[tuple[int, float, float, float]]:
     sinh(pi k)/(pi k)^2, attained at y = 1; the ratio sinh(pi k)/(pi k)
     grows without bound.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not _is_count(k_max, 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     rows = []
     for k in range(1, k_max + 1):
         pk = math.pi * k

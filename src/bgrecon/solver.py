@@ -221,7 +221,8 @@ class ErrorBudget:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            # a NaN term fails the test too
+            if not getattr(self, f.name) >= 0:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     @property

@@ -12,12 +12,11 @@ dA(x)x - nu A1(x, x), and the adjoint of dA is the transpose of its matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 # quad_weighted_integral is not called here; bench/tracing.py patches this name.
-from .grid import SampledFunction, UniformGrid, _read_only, quad_weighted_integral
+from .grid import SampledFunction, UniformGrid, quad_weighted_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +25,8 @@ class QuadraticVolterraOperator:
     nu: float
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"nonlinearity weight must be nonnegative, got {self.nu}")
+        if not 0 <= self.nu < np.inf:
+            raise ValueError(f"nonlinearity weight must be finite and nonnegative, got {self.nu}")
 
     @property
     def grid(self) -> UniformGrid:
@@ -44,19 +43,13 @@ class DiscreteForwardMap:
     def nodes(self) -> np.ndarray:
         return self.op.grid.nodes[1:]
 
-    @cached_property
-    def lags(self) -> np.ndarray:
-        """Matrix t_i - s_k over measurement nodes x grid nodes, computed
-        on first use and cached read-only."""
-        return _read_only(self.nodes[:, None] - self.op.grid.nodes[None, :])
-
 
 def linearization_matrix(fmap: DiscreteForwardMap, x0: SampledFunction) -> np.ndarray:
     """Matrix D of the linearization at x0: (D f.values)_i = dA(x0)f (t_i),
     that is W * (k(t_i - s) + 2 nu x0(t_i - s)) over nodes x grid. At
     nu = 0 the second term, which would add only zeros, is skipped."""
-    lags = fmap.lags
     op = fmap.op
+    lags = op.grid.lags
     kernel = op.kernel(lags)
     if op.nu:
         kernel += 2 * op.nu * x0(lags)
@@ -76,7 +69,7 @@ def quadratic_data(fmap: DiscreteForwardMap, x: SampledFunction) -> np.ndarray:
     op = fmap.op
     if not op.nu:
         return np.zeros(op.grid.n)
-    return (op.grid.trapezoid_weights * (op.nu * x(fmap.lags))) @ x.values
+    return (op.grid.trapezoid_weights * (op.nu * x(op.grid.lags))) @ x.values
 
 
 # Dense points per block of forward_data_exact: the block's few arrays

@@ -146,6 +146,22 @@ def test_grid_validation():
         an.AnnulusGrid(9, 4)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(3.5, 8), (9, 8.0), (9.0, 16), (np.nan, 16), (9, np.nan), (9, np.inf)]
+)
+def test_grid_rejects_sizes_that_are_not_integers(sizes):
+    # AnnulusGrid(3.5, 8) used to have outer radius 1.1 and build a solver,
+    # and AnnulusGrid(9, 8.0) to end in an IndexError from its solver
+    with pytest.raises(ValueError, match="integer"):
+        an.AnnulusGrid(*sizes)
+
+
+def test_grid_accepts_numpy_integer_sizes():
+    g = an.AnnulusGrid(np.int64(9), np.int32(16))
+    assert g == an.AnnulusGrid(9, 16)
+    np.testing.assert_array_equal(g.radii, an.AnnulusGrid(9, 16).radii)
+
+
 def test_grid_geometry():
     g = an.AnnulusGrid(9, 16)
     assert g.radii[0] == pytest.approx(0.5)
@@ -216,7 +232,7 @@ def test_boundary_trace_validation():
 )
 def test_solve_rejects_wrong_length_data(data):
     # 9 x 16: 9 nodes on each outer half
-    solver = an.grid_solver(an.AnnulusGrid(9, 16))
+    solver = an.AnnulusGrid(9, 16).solver
     with pytest.raises(ValueError, match="data needs"):
         solver.solve(**data)
 
@@ -232,7 +248,7 @@ def test_solve_rejects_non_finite_data(half, bad, node):
     data = np.cos(g.arc_params)
     data[node] = bad
     with pytest.raises(ValueError, match=f"{half} data must be finite"):
-        an.grid_solver(g).solve(**{half: data})
+        g.solver.solve(**{half: data})
 
 
 def test_solve_rejects_a_nan_residual():
@@ -241,7 +257,7 @@ def test_solve_rejects_a_nan_residual():
     g = an.AnnulusGrid(9, 16)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="residual nan fails"):
-            an.grid_solver(g).solve(gamma_l=np.full(g.n_half + 1, 1e308))
+            g.solver.solve(gamma_l=np.full(g.n_half + 1, 1e308))
 
 
 def test_constant_dirichlet_data_gives_constant_field():
@@ -484,7 +500,7 @@ def test_kozlov_mazya_keeps_requested_iterates():
 
 
 def test_sentinel_system_contact_columns_are_zero():
-    m = an.grid_solver(an.AnnulusGrid(9, 16)).flux_to_trace
+    m = an.AnnulusGrid(9, 16).solver.flux_to_trace
     np.testing.assert_allclose(m[:, 0], 0.0, atol=1e-14)
     np.testing.assert_allclose(m[:, -1], 0.0, atol=1e-14)
 
@@ -494,7 +510,7 @@ def test_sentinel_equation_solve_has_small_residual():
     psi_bar = an.BoundaryTrace(g, an.GAMMA_L, np.ones(g.n_half + 1))
     mu = an.BoundaryTrace(g, an.GAMMA_R, an.apply_A_sharp(g, psi_bar).values)
     psi = an.solve_sentinel_equation(g, mu)
-    m = an.grid_solver(g).flux_to_trace
+    m = g.solver.flux_to_trace
     assert np.max(np.abs(m @ psi.values + mu.values)) < 1e-8
 
 
@@ -521,9 +537,7 @@ def test_sentinel_reconstruct_recovers_functional():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Empty the solver cache, which holds each grid's TSVD too, and count
-    AnnulusBVPSolver constructions."""
-    an.grid_solver.cache_clear()
+    """The grid of every AnnulusBVPSolver construction from here on."""
     calls = []
     original = an.AnnulusBVPSolver.__init__
 
@@ -532,17 +546,17 @@ def factorizations(monkeypatch):
         original(self, grid)
 
     monkeypatch.setattr(an.AnnulusBVPSolver, "__init__", counting)
-    yield calls
-    an.grid_solver.cache_clear()
+    return calls
 
 
 def test_table1_factorizes_once(factorizations):
-    table1_rows()
     g = an.AnnulusGrid(33, 128)
+    table1_rows(g)
     assert factorizations == [g]
     # an alternating iteration on the same grid reuses that factorization
     an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=2)
     assert factorizations == [g]
+    assert factorizations[0] is g
 
 
 def test_kozlov_mazya_factorizes_each_pattern_once(factorizations):
@@ -552,7 +566,7 @@ def test_kozlov_mazya_factorizes_each_pattern_once(factorizations):
     mu = an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1))
     first = an.kozlov_mazya_solve(g, mu, max_iter=5)
     assert factorizations == [g]
-    again = an.kozlov_mazya_solve(an.AnnulusGrid(9, 16), mu, max_iter=5)
+    again = an.kozlov_mazya_solve(g, mu, max_iter=5)
     assert factorizations == [g]
     np.testing.assert_array_equal(again.psi.values, first.psi.values)
     np.testing.assert_array_equal(again.residuals, first.residuals)
@@ -562,8 +576,8 @@ def test_cached_trace_operators_match_a_fresh_solver():
     g = an.AnnulusGrid(17, 64)
     t = g.arc_params
     fresh = an.AnnulusBVPSolver(g)
-    cached = an.grid_solver(g)
-    assert cached is an.grid_solver(an.AnnulusGrid(17, 64))
+    cached = g.solver
+    assert cached is g.solver
     assert cached is not fresh
     phi = np.sin(t) + t**2
     w = fresh.solve(gamma_r=phi)
@@ -580,9 +594,27 @@ def test_cached_trace_operators_match_a_fresh_solver():
     )
 
 
+def test_each_grid_object_builds_one_solver_for_every_entry_point(factorizations):
+    g = an.AnnulusGrid(9, 16)
+    assert factorizations == []
+    phi, psi = _ones(g, an.GAMMA_R), _ones(g, an.GAMMA_L)
+    an.apply_A(g, phi)
+    an.apply_A_sharp(g, psi)
+    an.solve_sentinel_equation(g, phi)
+    an.kozlov_mazya_solve(g, phi, max_iter=2)
+    an.sentinel_reconstruct(g, psi, psi, 1.0, 1.0)
+    assert factorizations == [g] and factorizations[0] is g
+    # an equal grid built separately builds its own solver; a trace of
+    # either grid is accepted by the other
+    h = an.AnnulusGrid(9, 16)
+    assert h == g and h.solver is not g.solver
+    an.apply_A(h, phi)
+    assert len(factorizations) == 2 and factorizations[1] is h
+
+
 def fresh_tsvd_psi(g, mu):
     """TSVD solve of -A_sharp(psi) = mu from an uncached SVD."""
-    u, s, vt = np.linalg.svd(an.grid_solver(g).flux_to_trace)
+    u, s, vt = np.linalg.svd(g.solver.flux_to_trace)
     keep = s > an.SENTINEL_RCOND * s[0]
     return vt[keep].T @ ((u[:, keep].T @ (-mu.values)) / s[keep])
 
@@ -609,7 +641,7 @@ def test_flux_to_trace_matrix_matches_a_fresh_solver():
         v = oracle.solve(gamma_l=unit)
         columns.append(oracle.outer_normal_derivative(v)[gr_idx])
     expected = np.column_stack(columns)
-    matrix = an.grid_solver(g).flux_to_trace
+    matrix = g.solver.flux_to_trace
     assert np.max(np.abs(matrix - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
@@ -635,20 +667,21 @@ def test_repeated_sentinel_solve_makes_no_bvp_solves(factorizations, monkeypatch
     an.solve_sentinel_equation(g, mu)
     assert calls == []
     assert factorizations == [g]
-    an.solve_sentinel_equation(an.AnnulusGrid(17, 64), mu)
+    an.solve_sentinel_equation(g, mu)
     assert calls == []
     assert factorizations == [g]
 
 
 def test_cached_tsvd_factors_are_read_only(factorizations):
-    solver = an.grid_solver(an.AnnulusGrid(9, 16))
+    solver = an.AnnulusGrid(9, 16).solver
     assert solver.tsvd is solver.tsvd
     for factor in (solver.flux_to_trace, *solver.tsvd):
         with pytest.raises(ValueError):
             factor[0] = 1.0
 
 
-def test_table1_and_an_iteration_share_one_svd(factorizations, monkeypatch, tmp_path):
+def count_svds(monkeypatch):
+    """Record the shape of every np.linalg.svd call from here on."""
     calls = []
     svd = np.linalg.svd
 
@@ -657,16 +690,32 @@ def test_table1_and_an_iteration_share_one_svd(factorizations, monkeypatch, tmp_
         return svd(a)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    table1_rows()
+    return calls
+
+
+def test_table1_and_an_iteration_share_one_svd(factorizations, monkeypatch):
+    calls = count_svds(monkeypatch)
     g = an.AnnulusGrid(33, 128)
+    table1_rows(g)
     an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=2)
-    _run_table1(ExperimentConfig("table1"), str(tmp_path))
     assert calls == [(65, 65)]
     assert factorizations == [g]
+
+
+def test_run_table1_factorizes_once_and_writes_the_spectrum_of_its_one_svd(
+    factorizations, monkeypatch, tmp_path
+):
+    calls = count_svds(monkeypatch)
+    _run_table1(ExperimentConfig("table1"), str(tmp_path))
+    assert calls == [(65, 65)]
+    assert factorizations == [an.AnnulusGrid(33, 128)]
     lines = (tmp_path / "table1_tsvd.csv").read_text().splitlines()[1:]
     kept = [int(line.split(",")[3]) for line in lines]
     assert kept == sorted(kept, reverse=True)
-    assert sum(kept) == an.grid_solver(g).tsvd[2].size
+    # the grid _run_table1 built keeps its solver: reading it builds none
+    assert sum(kept) == factorizations[0].solver.tsvd[2].size
+    assert calls == [(65, 65)]
+    assert len(factorizations) == 1
 
 
 def _ones(grid, segment):
@@ -748,7 +797,7 @@ def test_fine_grid_solve_is_one_lu_solve_within_the_bound(monkeypatch):
     g = an.AnnulusGrid(65, 256)
     t = g.arc_params
     flux = 1.0 - 0.09746079213710429 * np.cos(t) + 0.023852225648510084 * np.sin(2 * t)
-    solver = an.grid_solver(g)
+    solver = g.solver
     calls = []
     linear_solve = np.linalg.solve
 
@@ -923,7 +972,7 @@ def test_read_off_matches_the_rolled_flux_balance(shape):
     field = oracle.solve(gamma_l=rng.uniform(-1.0, 1.0, g.n_half + 1))
     expected = normal_derivative_by_roll(g, field)
     np.testing.assert_allclose(
-        an.grid_solver(g).outer_normal_derivative(field[-1]),
+        g.solver.outer_normal_derivative(field[-1]),
         expected,
         rtol=0,
         atol=1e-13 * np.max(np.abs(expected)),
@@ -953,7 +1002,7 @@ def test_mirrored_step_matches_a_gamma_l_dirichlet_solve(shape):
     two = an.kozlov_mazya_solve(g, mu, max_iter=2, tol=0.0)
     # step (i) of the second round: the Gamma_l trace g_1 of the field
     # with flux eta_1 on Gamma_l and v = 0 on Gamma_r
-    v = an.grid_solver(g).solve(gamma_l=one.psi.values)
+    v = g.solver.solve(gamma_l=one.psi.values)
     expected = gamma_l_dirichlet_eta(g, v[g.segment_angular_indices(an.GAMMA_L)], mu.values)
     assert np.max(np.abs(two.psi.values - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -964,7 +1013,7 @@ def two_solve_kozlov_mazya(grid, mu, max_iter):
     on Gamma_r, step (ii) mirrored, with step (i)'s Gamma_l trace as the
     Dirichlet data and the flux -mu. Returns the residuals and the last
     eta."""
-    solver = an.grid_solver(grid)
+    solver = grid.solver
     gl_idx = grid.segment_angular_indices(an.GAMMA_L)
     gr_idx = grid.segment_angular_indices(an.GAMMA_R)
     eta = np.zeros(grid.n_half + 1)
@@ -1051,10 +1100,15 @@ def test_stop_in_a_third_block_matches_the_two_solve_loop():
     assert np.max(np.abs(result.psi.values - psi)) <= 1e-12 * np.max(np.abs(psi))
 
 
-def test_kozlov_mazya_rejects_a_negative_step_count():
-    g = an.AnnulusGrid(9, 16)
-    with pytest.raises(ValueError):
-        an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=-1)
+def test_kozlov_mazya_rejects_a_negative_step_count(factorizations):
+    # a size no other test uses, so no earlier test has built its solver
+    g = an.AnnulusGrid(7, 12)
+    mu = an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1))
+    for max_iter in (-1, 2.5, np.nan):
+        with pytest.raises(ValueError, match="max_iter"):
+            an.kozlov_mazya_solve(g, mu, max_iter=max_iter)
+    # the step count is checked before the grid's solver is built
+    assert factorizations == []
 
 
 def test_kozlov_mazya_memory_does_not_grow_with_the_step_count():
@@ -1086,13 +1140,13 @@ def test_fig6_and_random_flux_data_are_consistent_and_noisy_data_are_not(shape):
 
 
 def test_step_matrix_is_lazy_cached_and_read_only(factorizations):
-    table1_rows()
     g = an.AnnulusGrid(33, 128)
+    table1_rows(g)
     # a grid that never iterates builds no step matrix
-    assert "step_matrix" not in vars(an.grid_solver(g))
+    assert "step_matrix" not in vars(g.solver)
     an.kozlov_mazya_solve(g, an.BoundaryTrace(g, an.GAMMA_R, np.ones(g.n_half + 1)), max_iter=2)
-    step = an.grid_solver(g).step_matrix
-    assert an.grid_solver(g).step_matrix is step
+    step = g.solver.step_matrix
+    assert g.solver.step_matrix is step
     assert not step.flags.writeable
     assert factorizations == [g]
 
@@ -1105,7 +1159,7 @@ def test_step_matrix_is_energy_self_adjoint_with_spectrum_in_the_unit_interval(g
     # M is self-adjoint in the Neumann-energy inner product <., X_I .>
     # (measured <= 1.9e-15 relative), so its eigenvalues are real; they
     # lie in [0.60, 1] at 33 x 128
-    solver = an.grid_solver(g)
+    solver = g.solver
     interior = solver.step_matrix[1:-1]
     energy_step = solver._x_i @ interior
     assert np.max(np.abs(energy_step - energy_step.T)) <= 1e-13 * np.max(np.abs(energy_step))
@@ -1119,7 +1173,7 @@ def test_kozlov_mazya_fixes_the_flux_and_never_raises_the_error_energy(g, data):
     elements = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
     psi_bar = data.draw(hnp.arrays(float, g.n_half + 1, elements=elements))
     mu = -an.apply_A_sharp(g, an.BoundaryTrace(g, an.GAMMA_L, psi_bar)).values
-    solver = an.grid_solver(g)
+    solver = g.solver
     step, flux_to_trace = solver.step_matrix, solver.flux_to_trace
     # psi_bar's interior values are a fixed point of the step
     image = step @ psi_bar[1:-1] - flux_to_trace @ mu
@@ -1141,7 +1195,7 @@ def test_dirichlet_to_flux_symbol_converges_to_the_continuum_at_second_order():
     continuum = p * np.tanh(p * np.log(2))
     errors = []
     for n_r, n_theta in [(9, 32), (17, 64), (33, 128), (65, 256), (129, 512)]:
-        symbol = np.fft.fft(an.grid_solver(an.AnnulusGrid(n_r, n_theta))._dtn[:, 0]).real
+        symbol = np.fft.fft(an.AnnulusGrid(n_r, n_theta).solver._dtn[:, 0]).real
         errors.append(np.abs(symbol[p] - continuum))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     # measured 2.00 to 2.06
@@ -1152,13 +1206,13 @@ def test_dirichlet_to_flux_symbol_converges_to_the_continuum_at_second_order():
 def test_dirichlet_to_flux_map_is_the_schur_complement(shape):
     g = an.AnnulusGrid(*shape)
     expected = fd_oracle(g).schur_complement()
-    dtn = an.grid_solver(g)._dtn
+    dtn = g.solver._dtn
     assert np.max(np.abs(dtn - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("shape", [(9, 8), (17, 64), (65, 256)])
 def test_dirichlet_to_flux_map_is_symmetric_and_annihilates_constants(shape):
-    dtn = an.grid_solver(an.AnnulusGrid(*shape))._dtn
+    dtn = an.AnnulusGrid(*shape).solver._dtn
     rounding = 100 * np.finfo(float).eps * np.max(np.abs(dtn))
     assert np.max(np.abs(dtn - dtn.T)) <= rounding
     assert np.max(np.abs(dtn @ np.ones(len(dtn)))) <= rounding
@@ -1206,7 +1260,7 @@ def test_trace_operators_agree_with_the_finite_difference_scheme(g, data):
     assert_agrees(a_sharp_psi, flux_map[gr_idx], np.concatenate([zero, left]))
     # the mirrored step: Dirichlet data `left` on Gamma_l, flux `right` on
     # Gamma_r, u_nu on Gamma_l; in the solver's frame, the halves swapped
-    solver = an.grid_solver(g)
+    solver = g.solver
     step = solver.outer_normal_derivative(solver.solve(gamma_r=left, gamma_l=right))
     assert_agrees(step[gr_idx], flux_map[gr_idx], np.concatenate([left, right]))
     # one Kozlov-Maz'ya step, eta_1 -> eta_2, for the data mu = right:
@@ -1277,7 +1331,7 @@ def test_solve_accepts_random_data(g, scale, data):
         scale * data.draw(hnp.arrays(float, g.n_half + 1, elements=elements))
         for _ in range(2)
     ]
-    u = an.grid_solver(g).solve(*halves)
+    u = g.solver.solve(*halves)
     assert np.all(np.isfinite(u))
 
 
@@ -1289,7 +1343,7 @@ def test_solve_multiplies_only_the_halves_it_is_given():
     dirichlet_only._x_i = None
     flux_only = an.AnnulusBVPSolver(g)
     flux_only._x_c = flux_only._coupling = None
-    solver = an.grid_solver(g)
+    solver = g.solver
     np.testing.assert_array_equal(dirichlet_only.solve(gamma_r=data), solver.solve(gamma_r=data))
     np.testing.assert_array_equal(flux_only.solve(gamma_l=data), solver.solve(gamma_l=data))
 
@@ -1298,7 +1352,7 @@ def test_solve_multiplies_only_the_halves_it_is_given():
 def test_solve_with_one_half_omitted_is_the_two_product_formula(g, given_half, data):
     # omitting a half multiplies nothing for it, and the trace is still
     # X_I g_L - X_C u_R with zeros for that half, bit for bit
-    solver = an.grid_solver(g)
+    solver = g.solver
     values = data.draw(hnp.arrays(float, g.n_half + 1, elements=st.floats(-1.0, 1.0)))
     halves = {"gamma_r": np.zeros(g.n_half + 1), "gamma_l": np.zeros(g.n_half + 1)}
     halves[given_half] = values

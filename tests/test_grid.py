@@ -27,6 +27,17 @@ def test_grid_rejects_nonpositive_count():
         UniformGrid(0)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, np.nan, np.inf, "4"])
+def test_grid_rejects_a_count_that_is_not_an_integer(n):
+    # UniformGrid(2.5) used to have the node 1.2, outside [0, 1]
+    with pytest.raises(ValueError, match="integer"):
+        UniformGrid(n)
+
+
+def test_grid_accepts_a_numpy_integer_count():
+    np.testing.assert_array_equal(UniformGrid(np.int64(4)).nodes, UniformGrid(4).nodes)
+
+
 def test_sampled_function_shape_check():
     grid = UniformGrid(5)
     with pytest.raises(ValueError):

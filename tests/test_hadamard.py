@@ -14,6 +14,15 @@ def test_instance_rejects_nonpositive_k():
         phi_k(-1, 0.5)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, math.nan, math.inf])
+def test_instance_rejects_a_k_that_is_not_an_integer(k):
+    # phi_k(nan, x) used to return nan and phi_k(1.5, x) to pass the check
+    with pytest.raises(ValueError, match="positive integer"):
+        phi_k(k, 0.5)
+    with pytest.raises(ValueError, match="positive integer"):
+        u_k(k, 0.5, 0.5)
+
+
 def test_datum_closed_form():
     for k in (1, 2, 5):
         x = 0.37
@@ -46,6 +55,10 @@ def test_table_rows_match_closed_forms():
 def test_table_rejects_bad_kmax():
     with pytest.raises(ValueError):
         amplification_table(0)
+    # a float used to end in a TypeError from range
+    for k_max in (2.5, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            amplification_table(k_max)
 
 
 def test_large_k_does_not_overflow():

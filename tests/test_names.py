@@ -1,11 +1,13 @@
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import bgrecon
 from bgrecon.bspline import CubicBSplineBasis, delta_moments
 from bgrecon.grid import SampledFunction, UniformGrid, noise_direction
 from bgrecon.solver import assemble_adjoint_system, reconstruct_profile, solve_weights
@@ -44,6 +46,22 @@ def test_public_names_resolve():
         if not hasattr(importlib.import_module(f"bgrecon.{module}"), name)
     ]
     assert missing == []
+
+
+def test_no_module_keeps_a_process_wide_cache():
+    # each per-grid constant belongs to the grid object that defines it,
+    # so no module-level name or class attribute is a functools cache
+    cached = []
+    for module in pkgutil.iter_modules(bgrecon.__path__):
+        namespace = vars(importlib.import_module(f"bgrecon.{module.name}"))
+        owners = [namespace] + [vars(v) for v in namespace.values() if isinstance(v, type)]
+        cached += [
+            f"{module.name}.{name}"
+            for owner in owners
+            for name, value in owner.items()
+            if hasattr(value, "cache_info")
+        ]
+    assert cached == []
 
 
 def test_package_import_leaves_numpy_unloaded():

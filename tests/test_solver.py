@@ -477,6 +477,11 @@ def test_error_budget_rejects_negative_terms():
         ErrorBudget(0.0, 0.0, -1.0, 0.0)
     with pytest.raises(ValueError, match="noise_term"):
         ErrorBudget(-1.0, 0.0, 0.0, 0.0)
+    # a NaN term used to pass the check
+    with pytest.raises(ValueError, match="noise_term"):
+        ErrorBudget(np.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="adjoint_defect_term"):
+        ErrorBudget(0.0, 0.0, 0.0, np.nan)
 
 
 def test_error_budget_total_adds_the_terms_in_order():

@@ -48,6 +48,14 @@ def test_operator_rejects_negative_nu():
         make_op(nu=-0.5)
 
 
+@pytest.mark.parametrize("nu", [np.nan, np.inf])
+def test_operator_rejects_a_nonfinite_nu(nu):
+    # a NaN nu used to pass the sign check and end later in an opaque
+    # LinAlgError from the weight solve
+    with pytest.raises(ValueError, match="finite"):
+        make_op(nu=nu)
+
+
 def test_forward_map_default_nodes():
     op = make_op(10)
     fmap = DiscreteForwardMap(op)
@@ -635,7 +643,7 @@ def test_linearization_at_nu_zero_is_the_full_formula(case):
     # at nu = 0 linearization_matrix skips 2 nu x0(lags), a term of zeros
     fmap, x, _ = case
     linear = DiscreteForwardMap(QuadraticVolterraOperator(fmap.op.kernel, 0.0))
-    lags = linear.lags
+    lags = linear.op.grid.lags
     full = linear.op.grid.trapezoid_weights * (
         linear.op.kernel(lags) + 2 * linear.op.nu * x(lags)
     )
@@ -648,14 +656,14 @@ def test_quadratic_data_at_nu_zero_does_not_read_x():
     data = volterra.quadratic_data(fmap, x)
     assert np.array_equal(data, np.zeros(12)) and not np.signbit(data).any()
     assert x.mock_calls == []
-    assert "lags" not in vars(fmap)
+    assert "lags" not in vars(fmap.op.grid)
 
 
 def test_per_grid_arrays_are_cached_read_only():
     fmap = DiscreteForwardMap(make_op(9, nu=0.2))
     grid = fmap.op.grid
     for first, again in [
-        (fmap.lags, fmap.lags),
+        (grid.lags, grid.lags),
         (grid.trapezoid_weights, grid.trapezoid_weights),
     ]:
         assert first is again
@@ -673,13 +681,42 @@ def test_operators_on_one_grid_multiply_by_its_one_trapezoid_weights():
     x = SampledFunction(grid, np.cos(grid.nodes))
     for kernel, nu in [(grid.nodes.copy(), 0.0), (np.ones(10), 0.3)]:
         fmap = DiscreteForwardMap(QuadraticVolterraOperator(SampledFunction(grid, kernel), nu))
-        lags = fmap.lags
+        lags = grid.lags
         assert np.array_equal(
             linearization_matrix(fmap, x), marker * (fmap.op.kernel(lags) + 2 * nu * x(lags))
         )
         assert np.array_equal(
             volterra.quadratic_data(fmap, x), (marker * (nu * x(lags))) @ x.values
         )
+
+
+def test_operators_on_one_grid_read_its_one_lags():
+    # a forward map caches nothing: every operator on a grid reads the
+    # grid's one read-only lags, here replaced by a marker
+    grid = UniformGrid(9)
+    lags = grid.nodes[1:, None] - grid.nodes[None, :]
+    np.testing.assert_array_equal(grid.lags, lags)
+    marker = lags[::-1].copy()
+    marker.flags.writeable = False
+    vars(grid)["lags"] = marker
+    x = SampledFunction(grid, np.cos(grid.nodes))
+    maps = [
+        DiscreteForwardMap(QuadraticVolterraOperator(SampledFunction(grid, kernel), 0.3))
+        for kernel in (grid.nodes.copy(), np.ones(10))
+    ]
+    for fmap in maps:
+        assert vars(fmap) == {"op": fmap.op}
+        assert np.array_equal(
+            linearization_matrix(fmap, x),
+            grid.trapezoid_weights * (fmap.op.kernel(marker) + 2 * 0.3 * x(marker)),
+        )
+        assert np.array_equal(
+            volterra.quadratic_data(fmap, x),
+            (grid.trapezoid_weights * (0.3 * x(marker))) @ x.values,
+        )
+    assert grid.lags is marker
+    # an equal grid built separately builds its own
+    assert UniformGrid(9).lags is not marker
 
 
 @given(linearizations(), st.data())
